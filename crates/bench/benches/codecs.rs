@@ -62,6 +62,11 @@ fn bench_line_codec(c: &mut Criterion) {
     c.bench_function("line_codec_read_check_clean", |b| {
         b.iter(|| codec.read_check(black_box(&stored)))
     });
+    // The scrub daemon's per-line cost: the CRC plus the full ECC-1
+    // signature, which the read path's clean short-circuit skips.
+    c.bench_function("line_codec_scrub_check_clean", |b| {
+        b.iter(|| codec.scrub_check(black_box(&stored)))
+    });
     let mut faulty = stored;
     faulty.flip_bit(42);
     c.bench_function("line_codec_read_check_repair", |b| {

@@ -62,6 +62,11 @@ pub struct HammingSec {
     /// Map from 1-based codeword position to payload index
     /// (`u32::MAX` marks check-bit positions).
     pos_to_payload: Vec<u32>,
+    /// Syndrome masks, row-major `[check bit][payload word]`: bit `b` of
+    /// `masks[j * words + w]` is set iff payload bit `64·w + b` sits at a
+    /// codeword position with bit `j` set. Check bit `j` is then the
+    /// parity of `⊕_w (masks[j·words + w] & payload[w])`.
+    masks: Vec<u64>,
 }
 
 impl HammingSec {
@@ -90,12 +95,22 @@ impl HammingSec {
             idx += 1;
         }
         debug_assert_eq!(payload_pos.len(), payload_bits);
+        let words = payload_bits.div_ceil(64);
+        let mut masks = vec![0u64; r as usize * words];
+        for (i, &pos) in payload_pos.iter().enumerate() {
+            for j in 0..r as usize {
+                if (pos >> j) & 1 == 1 {
+                    masks[j * words + i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
         HammingSec {
             payload_bits,
             check_bits: r,
             n,
             payload_pos,
             pos_to_payload,
+            masks,
         }
     }
 
@@ -114,20 +129,58 @@ impl HammingSec {
         self.n
     }
 
+    /// The syndrome masks as a fixed `R × W` array (`R` check bits, `W`
+    /// payload words), for a codec whose payload shape is known at compile
+    /// time: a fixed shape lets the compiler unroll the 90 AND/XORs of the
+    /// 543-bit line kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `R` or `W` do not match this code.
+    pub(crate) fn fixed_masks<const R: usize, const W: usize>(&self) -> [[u64; W]; R] {
+        assert_eq!(R, self.check_bits as usize, "check-bit count mismatch");
+        assert_eq!(W, self.payload_bits.div_ceil(64), "payload word mismatch");
+        let mut out = [[0u64; W]; R];
+        for (j, row) in out.iter_mut().enumerate() {
+            row.copy_from_slice(&self.masks[j * W..(j + 1) * W]);
+        }
+        out
+    }
+
+    /// Check bits of `payload` by the mask kernel: one AND/XOR per
+    /// (check bit, word) and one parity per check bit, independent of how
+    /// many payload bits are set.
     fn payload_signature(&self, payload: &BitBuf) -> u32 {
         debug_assert_eq!(payload.len(), self.payload_bits);
-        // Walk the backing words directly: mostly-zero payloads (the
-        // golden-zero Monte-Carlo state) skip whole words, and no position
-        // vector is allocated.
-        let mut sig = 0u32;
-        for (wi, &w) in payload.words().iter().enumerate() {
-            let mut d = w;
-            while d != 0 {
-                sig ^= self.payload_pos[wi * 64 + d.trailing_zeros() as usize];
-                d &= d - 1;
-            }
-        }
-        sig
+        let words = payload.words();
+        self.masks
+            .chunks_exact(words.len())
+            .enumerate()
+            .fold(0u32, |sig, (j, row)| {
+                let acc = row
+                    .iter()
+                    .zip(words)
+                    .fold(0u64, |acc, (m, w)| acc ^ (m & w));
+                sig | ((acc.count_ones() & 1) << j)
+            })
+    }
+
+    /// Position-table reference for the check bits: XORs the codeword
+    /// position of every set payload bit. Used to verify the mask kernel
+    /// behind [`HammingSec::encode`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload.len() != self.payload_bits()`.
+    pub fn payload_signature_reference(&self, payload: &BitBuf) -> u32 {
+        assert_eq!(
+            payload.len(),
+            self.payload_bits,
+            "payload length must match the code"
+        );
+        payload
+            .iter_ones()
+            .fold(0u32, |sig, i| sig ^ self.payload_pos[i])
     }
 
     /// Computes the check bits for `payload`.
@@ -151,13 +204,23 @@ impl HammingSec {
     /// Computes the syndrome of a received (payload, check) pair without
     /// modifying anything. Zero means consistent.
     pub fn syndrome(&self, payload: &BitBuf, check: u32) -> u32 {
-        let mut s = self.payload_signature(payload);
-        for j in 0..self.check_bits {
-            if (check >> j) & 1 == 1 {
-                s ^= 1 << j;
-            }
+        self.payload_signature(payload) ^ (check & ((1 << self.check_bits) - 1))
+    }
+
+    /// Classifies a syndrome without touching any payload: which single
+    /// error it points at, if any. A [`HammingOutcome::CorrectedPayload`]
+    /// result names the payload bit the decoder would flip.
+    pub(crate) fn locate(&self, syndrome: u32) -> HammingOutcome {
+        let pos = syndrome as usize;
+        if syndrome == 0 {
+            HammingOutcome::Clean
+        } else if pos > self.n {
+            HammingOutcome::Invalid
+        } else if syndrome.is_power_of_two() {
+            HammingOutcome::CorrectedCheck(syndrome.trailing_zeros())
+        } else {
+            HammingOutcome::CorrectedPayload(self.pos_to_payload[pos] as usize)
         }
-        s
     }
 
     /// Attempts single-error correction in place.
@@ -176,20 +239,11 @@ impl HammingSec {
             self.payload_bits,
             "payload length must match the code"
         );
-        let s = self.syndrome(payload, check);
-        if s == 0 {
-            return HammingOutcome::Clean;
+        let outcome = self.locate(self.syndrome(payload, check));
+        if let HammingOutcome::CorrectedPayload(idx) = outcome {
+            payload.flip(idx);
         }
-        let pos = s as usize;
-        if pos > self.n {
-            return HammingOutcome::Invalid;
-        }
-        if s.is_power_of_two() {
-            return HammingOutcome::CorrectedCheck(s.trailing_zeros());
-        }
-        let idx = self.pos_to_payload[pos] as usize;
-        payload.flip(idx);
-        HammingOutcome::CorrectedPayload(idx)
+        outcome
     }
 }
 

@@ -15,7 +15,7 @@
 //! Storage overhead: 41 bits per line, vs 60 for ECC-6 (paper §VII-H counts
 //! 43 with the amortized 2 bits of PLT parity storage).
 
-use crate::bits::{BitBuf, LineData, LINE_BITS, LINE_WORDS};
+use crate::bits::{LineData, LINE_BITS, LINE_WORDS};
 use crate::crc::{crc31, CrcEngine};
 use crate::hamming::{HammingOutcome, HammingSec};
 use serde::{Deserialize, Serialize};
@@ -171,14 +171,44 @@ pub enum ReadCheck {
     MultiBit,
 }
 
+/// Words in the fixed ECC-1 payload (data ‖ CRC): eight data words, then
+/// the CRC in the low 31 bits of word 8.
+const PAYLOAD_WORDS: usize = LINE_WORDS + 1;
+
+/// The 543-bit ECC-1 payload carried on the stack.
+type Payload = [u64; PAYLOAD_WORDS];
+
+/// The used bits of [`ProtectedLine::crc`]. Stray high bits fail the CRC
+/// check but are not part of the ECC-1 payload.
+const CRC_MASK: u32 = (1 << CRC_BITS) - 1;
+/// The used bits of [`ProtectedLine::ecc`]: the 10 Hamming check bits.
+const ECC_MASK: u32 = (1 << ECC_BITS) - 1;
+
 /// The shared per-line encoder/decoder.
 ///
-/// Construction precomputes the Hamming position tables; use
-/// [`LineCodec::shared`] to reuse a single instance process-wide.
-#[derive(Debug, Clone)]
+/// Construction precomputes the Hamming syndrome masks and the per-bit CRC
+/// deltas; use [`LineCodec::shared`] to reuse a single instance
+/// process-wide. No method allocates.
+#[derive(Clone)]
 pub struct LineCodec {
     crc: &'static CrcEngine,
     hamming: HammingSec,
+    /// `masks[j][w]`: the payload bits of word `w` that check bit `j`
+    /// covers (see [`HammingSec`]'s mask kernel), in the fixed 10×9 shape.
+    masks: [[u64; PAYLOAD_WORDS]; ECC_BITS],
+    /// `crc_delta[i]`: how flipping payload bit `i` changes
+    /// `crc(data) ⊕ stored_crc` — the CRC of the unit vector `e_i` for a
+    /// data bit, the stored-CRC bit itself for a CRC bit.
+    crc_delta: [u32; DATA_BITS + CRC_BITS],
+}
+
+impl std::fmt::Debug for LineCodec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LineCodec")
+            .field("crc", self.crc)
+            .field("ecc_check_bits", &self.hamming.check_bits())
+            .finish()
+    }
 }
 
 impl Default for LineCodec {
@@ -190,9 +220,23 @@ impl Default for LineCodec {
 impl LineCodec {
     /// Builds a codec (CRC-31 + Hamming SEC over 543 bits).
     pub fn new() -> Self {
+        let crc = crc31();
+        let hamming = HammingSec::new(DATA_BITS + CRC_BITS);
+        let mut crc_delta = [0u32; DATA_BITS + CRC_BITS];
+        for (i, delta) in crc_delta.iter_mut().enumerate() {
+            *delta = if i < DATA_BITS {
+                let mut unit = LineData::zero();
+                unit.flip_bit(i);
+                crc.checksum_line(&unit) as u32
+            } else {
+                1 << (i - DATA_BITS)
+            };
+        }
         LineCodec {
-            crc: crc31(),
-            hamming: HammingSec::new(DATA_BITS + CRC_BITS),
+            crc,
+            masks: hamming.fixed_masks(),
+            hamming,
+            crc_delta,
         }
     }
 
@@ -202,32 +246,41 @@ impl LineCodec {
         CODEC.get_or_init(LineCodec::new)
     }
 
-    /// Assembles the 543-bit ECC payload (data ‖ CRC) word-by-word: eight
-    /// data words followed by the CRC in the low 31 bits of word 8. No
-    /// per-bit loop — this is on the scrub/read hot path.
-    fn payload_of(data: &LineData, crc: u32) -> BitBuf {
-        let mut words = Vec::with_capacity(LINE_WORDS + 1);
-        words.extend_from_slice(data.words());
-        words.push(crc as u64);
-        BitBuf::from_words(words, DATA_BITS + CRC_BITS)
+    /// Assembles the 543-bit ECC payload (data ‖ CRC) on the stack.
+    fn payload_of(data: &LineData, crc: u32) -> Payload {
+        let mut words = [0u64; PAYLOAD_WORDS];
+        words[..LINE_WORDS].copy_from_slice(data.words());
+        words[LINE_WORDS] = (crc & CRC_MASK) as u64;
+        words
     }
 
-    /// Inverse of [`LineCodec::payload_of`]: splits the payload words back
-    /// into the line data (words 0..8) and the CRC (low 31 bits of word 8).
-    fn payload_to_line(payload: &BitBuf) -> (LineData, u32) {
-        debug_assert_eq!(payload.len(), DATA_BITS + CRC_BITS);
-        let words = payload.words();
-        let data = LineData::from_words(words[..LINE_WORDS].try_into().expect("8 data words"));
-        let crc = (words[LINE_WORDS] & ((1u64 << CRC_BITS) - 1)) as u32;
-        (data, crc)
+    /// ECC-1 check bits of a payload: per check bit, AND each payload word
+    /// with its mask, XOR the nine results and take the parity — 90
+    /// AND/XORs and 10 parities, however many bits are set.
+    #[inline]
+    fn signature(&self, payload: &Payload) -> u32 {
+        let mut sig = 0u32;
+        for (j, row) in self.masks.iter().enumerate() {
+            let mut acc = 0u64;
+            for (m, w) in row.iter().zip(payload) {
+                acc ^= m & w;
+            }
+            sig |= (acc.count_ones() & 1) << j;
+        }
+        sig
+    }
+
+    /// CRC-31 over the data field.
+    #[inline]
+    fn data_crc(&self, data: &LineData) -> u32 {
+        self.crc.checksum_line(data) as u32
     }
 
     /// Encodes a data payload into a stored line (CRC over data, then ECC
     /// over data‖CRC, per paper §III-E).
     pub fn encode(&self, data: &LineData) -> ProtectedLine {
-        let crc = self.crc.checksum_line(data) as u32;
-        let payload = Self::payload_of(data, crc);
-        let ecc = self.hamming.encode(&payload) as u16;
+        let crc = self.data_crc(data);
+        let ecc = self.signature(&Self::payload_of(data, crc)) as u16;
         ProtectedLine {
             data: *data,
             crc,
@@ -238,17 +291,19 @@ impl LineCodec {
     /// Whether the stored CRC matches the data (the one-cycle read check).
     #[inline]
     pub fn crc_ok(&self, line: &ProtectedLine) -> bool {
-        self.crc.checksum_line(&line.data) as u32 == line.crc
+        self.data_crc(&line.data) == line.crc
+    }
+
+    /// Whether the ECC field matches the (data ‖ CRC) payload.
+    #[inline]
+    fn ecc_ok(&self, line: &ProtectedLine) -> bool {
+        self.signature(&Self::payload_of(&line.data, line.crc)) == line.ecc as u32 & ECC_MASK
     }
 
     /// Full consistency: CRC matches *and* the ECC field is consistent.
     /// Used by the scrubber (which repairs metadata too) and by tests.
     pub fn validate(&self, line: &ProtectedLine) -> bool {
-        if !self.crc_ok(line) {
-            return false;
-        }
-        let payload = Self::payload_of(&line.data, line.crc);
-        self.hamming.syndrome(&payload, line.ecc as u32) == 0
+        self.crc_ok(line) && self.ecc_ok(line)
     }
 
     /// The read-path check (paper §III-B/C): CRC syndrome, then ECC-1
@@ -258,60 +313,63 @@ impl LineCodec {
     /// the ECC field is *not* noticed by reads (the scrub path,
     /// [`LineCodec::scrub_check`], handles it).
     pub fn read_check(&self, line: &ProtectedLine) -> ReadCheck {
-        if self.crc_ok(line) {
+        let crc_syndrome = self.data_crc(&line.data) ^ line.crc;
+        if crc_syndrome == 0 {
             return ReadCheck::Clean;
         }
-        self.try_ecc1_repair(line)
+        self.try_ecc1_repair(line, crc_syndrome)
     }
 
     /// The scrub-path check: like [`LineCodec::read_check`], but a line
     /// whose data+CRC are clean while the ECC field is inconsistent gets
     /// its ECC field regenerated (the scrubber trusts CRC-validated data).
     pub fn scrub_check(&self, line: &ProtectedLine) -> ReadCheck {
-        if self.crc_ok(line) {
-            let payload = Self::payload_of(&line.data, line.crc);
-            if self.hamming.syndrome(&payload, line.ecc as u32) == 0 {
-                return ReadCheck::Clean;
-            }
-            let repaired = ProtectedLine {
-                data: line.data,
-                crc: line.crc,
-                ecc: self.hamming.encode(&payload) as u16,
-            };
-            return ReadCheck::Corrected {
-                repaired,
-                kind: RepairKind::EccField,
-            };
+        let crc_syndrome = self.data_crc(&line.data) ^ line.crc;
+        if crc_syndrome != 0 {
+            return self.try_ecc1_repair(line, crc_syndrome);
         }
-        self.try_ecc1_repair(line)
+        let ecc = self.signature(&Self::payload_of(&line.data, line.crc));
+        if ecc == line.ecc as u32 & ECC_MASK {
+            return ReadCheck::Clean;
+        }
+        ReadCheck::Corrected {
+            repaired: ProtectedLine {
+                ecc: ecc as u16,
+                ..*line
+            },
+            kind: RepairKind::EccField,
+        }
     }
 
-    fn try_ecc1_repair(&self, line: &ProtectedLine) -> ReadCheck {
+    /// ECC-1 repair of a line whose CRC syndrome is non-zero, with the
+    /// §III-E CRC re-check done by linearity: the engine is zero-init with
+    /// no final XOR, so flipping payload bit `i` changes the CRC syndrome
+    /// by exactly `crc_delta[i]`, and the candidate is CRC-consistent iff
+    /// `crc_syndrome == crc_delta[i]` — no second CRC pass.
+    fn try_ecc1_repair(&self, line: &ProtectedLine, crc_syndrome: u32) -> ReadCheck {
         let mut payload = Self::payload_of(&line.data, line.crc);
-        match self.hamming.decode(&mut payload, line.ecc as u32) {
-            HammingOutcome::CorrectedPayload(idx) => {
-                let (data, crc) = Self::payload_to_line(&payload);
-                let candidate = ProtectedLine {
-                    data,
-                    crc,
-                    ecc: line.ecc,
-                };
-                if self.crc_ok(&candidate) {
-                    ReadCheck::Corrected {
-                        repaired: candidate,
-                        kind: RepairKind::PayloadBit(idx),
-                    }
-                } else {
-                    // ECC-1 miscorrected (the fault was multi-bit); the CRC
-                    // recheck caught it, exactly as §III-E intends.
-                    ReadCheck::MultiBit
+        let syndrome = self.signature(&payload) ^ (line.ecc as u32 & ECC_MASK);
+        match self.hamming.locate(syndrome) {
+            HammingOutcome::CorrectedPayload(idx)
+                if self.crc_delta[idx] == crc_syndrome & CRC_MASK =>
+            {
+                payload[idx / 64] ^= 1 << (idx % 64);
+                let data =
+                    LineData::from_words(payload[..LINE_WORDS].try_into().expect("8 data words"));
+                ReadCheck::Corrected {
+                    repaired: ProtectedLine {
+                        data,
+                        crc: payload[LINE_WORDS] as u32,
+                        ecc: line.ecc,
+                    },
+                    kind: RepairKind::PayloadBit(idx),
                 }
             }
-            // CRC says faulty but Hamming blames its own check bits or sees
+            // ECC-1 miscorrected (the fault was multi-bit) and the CRC
+            // re-check caught it, exactly as §III-E intends; or the CRC says
+            // faulty while Hamming blames its own check bits or sees
             // nothing/invalid: more than one fault. Escalate.
-            HammingOutcome::CorrectedCheck(_) | HammingOutcome::Clean | HammingOutcome::Invalid => {
-                ReadCheck::MultiBit
-            }
+            _ => ReadCheck::MultiBit,
         }
     }
 }
@@ -344,22 +402,14 @@ mod tests {
         let data = sample_data(99);
         let crc = 0x5a5a_5a5a & ((1u32 << CRC_BITS) - 1);
         let payload = LineCodec::payload_of(&data, crc);
-        assert_eq!(payload.len(), DATA_BITS + CRC_BITS);
-        let mut reference = BitBuf::zeros(DATA_BITS + CRC_BITS);
         for i in 0..DATA_BITS {
-            if data.bit(i) {
-                reference.set(i, true);
-            }
+            assert_eq!(
+                (payload[i / 64] >> (i % 64)) & 1 == 1,
+                data.bit(i),
+                "bit {i}"
+            );
         }
-        for j in 0..CRC_BITS {
-            if (crc >> j) & 1 == 1 {
-                reference.set(DATA_BITS + j, true);
-            }
-        }
-        assert_eq!(payload, reference);
-        let (data2, crc2) = LineCodec::payload_to_line(&payload);
-        assert_eq!(data2, data);
-        assert_eq!(crc2, crc);
+        assert_eq!(payload[LINE_WORDS], crc as u64);
     }
 
     #[test]

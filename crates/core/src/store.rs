@@ -10,36 +10,11 @@
 //!   zero data everywhere — a full-size 64 MB cache interval then touches
 //!   only the ~1700 faulty lines, keeping Monte-Carlo at paper scale cheap.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use sudoku_codes::ProtectedLine;
-
-/// Multiplicative hash for `u64` line indices (Fibonacci hashing). Line
-/// indices are small, dense, attacker-free integers — SipHash's DoS
-/// resistance buys nothing here and costs ~5× per store access on the
-/// Monte-Carlo hot path.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LineIndexHasher(u64);
-
-impl Hasher for LineIndexHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Only reached via derived/complex keys; fold bytes in words.
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+use sudoku_fault::LineIndexHasher;
 
 type LineMap = HashMap<u64, ProtectedLine, BuildHasherDefault<LineIndexHasher>>;
 
@@ -172,6 +147,25 @@ impl LineStore for SparseStore {
         }
     }
 
+    /// One hash probe per injected bit: flips in place, dropping the
+    /// entry when the line returns to the zero codeword.
+    fn flip_bit(&mut self, idx: u64, bit: usize) {
+        assert!(idx < self.n_lines, "line {idx} out of range");
+        match self.touched.entry(idx) {
+            Entry::Occupied(mut entry) => {
+                entry.get_mut().flip_bit(bit);
+                if entry.get().is_zero() {
+                    entry.remove();
+                }
+            }
+            Entry::Vacant(entry) => {
+                let mut line = ProtectedLine::zero();
+                line.flip_bit(bit);
+                entry.insert(line);
+            }
+        }
+    }
+
     fn is_materialized(&self, idx: u64) -> bool {
         self.touched.contains_key(&idx)
     }
@@ -214,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn flip_bit_default_impl_works_on_sparse() {
+    fn sparse_flip_bit_materializes_and_drops() {
         let mut s = SparseStore::new(10);
         s.flip_bit(5, 100);
         assert!(s.line(5).bit(100));

@@ -3,7 +3,9 @@
 use proptest::collection::{btree_set, vec};
 use proptest::prelude::*;
 use sudoku_codes::{LineData, TOTAL_BITS};
-use sudoku_core::{HashDim, Scheme, SkewedHashes, SudokuCache, SudokuConfig};
+use sudoku_core::{
+    DenseStore, HashDim, LineStore, Scheme, SkewedHashes, SparseStore, SudokuCache, SudokuConfig,
+};
 
 const LINES: u64 = 256;
 const GROUP: u32 = 16;
@@ -185,6 +187,37 @@ proptest! {
         prop_assert_eq!(r_fast, r_ref);
         for i in 0..LINES {
             prop_assert_eq!(fast.stored_line(i), reference.stored_line(i), "line {}", i);
+        }
+    }
+
+    /// `SparseStore::flip_bit` (one entry probe per bit) agrees with a
+    /// `DenseStore` on every line after any flip sequence, repeats and
+    /// flip-backs included, and keeps exactly the non-zero lines
+    /// materialized.
+    #[test]
+    fn sparse_flips_match_dense(
+        flips in vec((0u64..8, 0usize..TOTAL_BITS), 0..64),
+        undo in any::<bool>()
+    ) {
+        let mut sparse = SparseStore::new(8);
+        let mut dense = DenseStore::new(8);
+        let mut sequence = flips.clone();
+        if undo {
+            // Replaying the sequence returns every line to zero.
+            sequence.extend(flips.iter().rev());
+        }
+        for &(line, bit) in &sequence {
+            sparse.flip_bit(line, bit);
+            dense.flip_bit(line, bit);
+        }
+        for line in 0..8 {
+            prop_assert_eq!(sparse.line(line), dense.line(line));
+            prop_assert_eq!(sparse.is_materialized(line), !dense.line(line).is_zero());
+        }
+        let nonzero = dense.as_slice().iter().filter(|l| !l.is_zero()).count();
+        prop_assert_eq!(sparse.materialized(), nonzero);
+        if undo {
+            prop_assert_eq!(sparse.materialized(), 0);
         }
     }
 }

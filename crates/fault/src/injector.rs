@@ -14,8 +14,11 @@
 //! — always true per line — and switches to a normal approximation only for
 //! cache-level counts with n·p > 10⁴, where the relative error is < 10⁻³.
 
+use crate::LineIndexHasher;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use sudoku_codes::{ProtectedLine, TOTAL_BITS};
 
 /// Draws from Binomial(n, p) — exact inversion for small n·p, normal
@@ -64,22 +67,48 @@ pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
 ///
 /// Used to populate the fault count of a line already known to be faulty.
 pub fn sample_binomial_at_least_one<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
-    assert!(p > 0.0 && p < 1.0, "p must be in (0, 1)");
-    let p0 = ((n as f64) * ln_one_minus(p)).exp();
-    let scale = 1.0 - p0; // P(K >= 1)
-    let mut u: f64 = rng.gen::<f64>() * scale;
-    let q = p / (1.0 - p);
-    let mut pmf = p0 * n as f64 * q; // pmf(1)
-    let mut k = 1u64;
-    loop {
-        if u <= pmf || k >= n {
-            return k;
+    AtLeastOne::new(n, p).sample(rng)
+}
+
+/// Binomial(n, p) conditioned on ≥ 1, with the `exp`/`ln` set-up done
+/// once per (n, p) rather than once per draw.
+struct AtLeastOne {
+    n: u64,
+    q: f64,
+    /// P(K ≥ 1).
+    scale: f64,
+    /// P(K = 1).
+    pmf1: f64,
+}
+
+impl AtLeastOne {
+    fn new(n: u64, p: f64) -> Self {
+        assert!(p > 0.0 && p < 1.0, "p must be in (0, 1)");
+        let p0 = ((n as f64) * ln_one_minus(p)).exp();
+        let q = p / (1.0 - p);
+        AtLeastOne {
+            n,
+            q,
+            scale: 1.0 - p0,
+            pmf1: p0 * n as f64 * q,
         }
-        u -= pmf;
-        pmf *= (n - k) as f64 / (k + 1) as f64 * q;
-        k += 1;
-        if pmf < 1e-300 {
-            return k;
+    }
+
+    /// Inversion from k = 1: one uniform draw.
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        let mut u: f64 = rng.gen::<f64>() * self.scale;
+        let mut pmf = self.pmf1;
+        let mut k = 1u64;
+        loop {
+            if u <= pmf || k >= self.n {
+                return k;
+            }
+            u -= pmf;
+            pmf *= (self.n - k) as f64 / (k + 1) as f64 * self.q;
+            k += 1;
+            if pmf < 1e-300 {
+                return k;
+            }
         }
     }
 }
@@ -134,8 +163,10 @@ pub fn choose_distinct<R: Rng + ?Sized>(rng: &mut R, n: u64, k: u64) -> Vec<u64>
         out
     } else {
         // Sparse: rejection sampling (hash set + one sort; the accepted
-        // value sequence matches an ordered-set implementation exactly).
-        let mut set = std::collections::HashSet::with_capacity(k as usize);
+        // value sequence matches an ordered-set implementation exactly,
+        // whatever the hasher).
+        let mut set: HashSet<u64, BuildHasherDefault<LineIndexHasher>> =
+            HashSet::with_capacity_and_hasher(k as usize, Default::default());
         while (set.len() as u64) < k {
             set.insert(rng.gen_range(0..n));
         }
@@ -357,12 +388,16 @@ impl FaultInjector {
         let p_line = -((TOTAL_BITS as f64) * (-self.ber).ln_1p()).exp_m1();
         let faulty = sample_binomial(&mut self.rng, n_lines, p_line);
         let lines = choose_distinct(&mut self.rng, n_lines, faulty);
+        if lines.is_empty() {
+            // Also covers ber = 0, which the conditional sampler rejects.
+            return Vec::new();
+        }
+        let per_line = AtLeastOne::new(TOTAL_BITS as u64, self.ber);
         lines
             .into_iter()
             .map(|line| LineFaults {
                 line,
-                faults: sample_binomial_at_least_one(&mut self.rng, TOTAL_BITS as u64, self.ber)
-                    as u32,
+                faults: per_line.sample(&mut self.rng) as u32,
             })
             .collect()
     }

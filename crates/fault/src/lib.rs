@@ -27,11 +27,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod hasher;
 mod injector;
 mod permanent;
 mod scrub;
 mod thermal;
 
+pub use hasher::LineIndexHasher;
 pub use injector::{
     attribute_plan, choose_distinct, observe_plan, sample_binomial, sample_binomial_at_least_one,
     FaultInjector, LineFaults, RegionAttribution,
