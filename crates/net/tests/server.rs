@@ -104,6 +104,8 @@ fn stats_frame_returns_snapshot_json() {
     assert!(body.starts_with('{'), "{body}");
     assert!(body.contains("\"writes\":1"), "{body}");
     assert!(body.contains("\"net_frames\""), "{body}");
+    // The same document as /snapshot.json, audit section included.
+    assert!(body.contains("\"audit\":{"), "{body}");
     server.shutdown();
     service.shutdown();
 }

@@ -9,8 +9,12 @@
 //! the invariants Prometheus itself would enforce at scrape time:
 //! cumulative non-decreasing buckets, a `+Inf` bucket, and
 //! `_count` == the `+Inf` bucket.
+//!
+//! [`parse`] is strict about duplicates: a second `# HELP` or `# TYPE` for
+//! one family, or a second sample of one (name, labels) series, is an
+//! error — the exposition a duplicated metric declaration would produce.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One sample line: `name{labels} value`.
@@ -140,9 +144,11 @@ fn parse_labels(body: &str, line_no: usize) -> Result<Vec<(String, String)>, Par
 ///
 /// # Errors
 ///
-/// The first malformed line, with its number and a reason.
+/// The first malformed line, with its number and a reason — including a
+/// repeated `# HELP`/`# TYPE` for one family and a repeated series.
 pub fn parse(text: &str) -> Result<PromText, ParseError> {
     let mut out = PromText::default();
+    let mut series = BTreeSet::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim_end();
@@ -156,7 +162,13 @@ pub fn parse(text: &str) -> Result<PromText, ParseError> {
                 if !is_name(name) {
                     return Err(err(line_no, format!("bad HELP metric name {name:?}")));
                 }
-                out.helps.insert(name.to_string(), help.to_string());
+                if out
+                    .helps
+                    .insert(name.to_string(), help.to_string())
+                    .is_some()
+                {
+                    return Err(err(line_no, format!("second HELP for {name:?}")));
+                }
             } else if let Some(rest) = comment.strip_prefix("TYPE ") {
                 let (name, kind) = rest
                     .split_once(' ')
@@ -168,7 +180,13 @@ pub fn parse(text: &str) -> Result<PromText, ParseError> {
                     "counter" | "gauge" | "histogram" | "summary" | "untyped" => {}
                     other => return Err(err(line_no, format!("unknown TYPE {other:?}"))),
                 }
-                out.types.insert(name.to_string(), kind.to_string());
+                if out
+                    .types
+                    .insert(name.to_string(), kind.to_string())
+                    .is_some()
+                {
+                    return Err(err(line_no, format!("second TYPE for {name:?}")));
+                }
             }
             // Other comments are legal and skipped.
             continue;
@@ -210,6 +228,9 @@ pub fn parse(text: &str) -> Result<PromText, ParseError> {
         }
         let value = parse_value(value_tok)
             .ok_or_else(|| err(line_no, format!("bad value {value_tok:?}")))?;
+        if !series.insert((name.to_string(), labels.clone())) {
+            return Err(err(line_no, format!("repeated series {name}{labels:?}")));
+        }
         out.samples.push(Sample {
             name: name.to_string(),
             labels,
@@ -346,6 +367,23 @@ sudoku_read_latency_ns_count 16
         assert!(parse("bad{le=1} 3").is_err(), "unquoted label value");
         assert!(parse("# TYPE x wat\n").is_err(), "unknown type");
         assert!(parse("9bad 1").is_err(), "bad metric name");
+    }
+
+    #[test]
+    fn rejects_a_second_help_or_type_for_one_family() {
+        let twice_help = "# HELP m one\n# HELP m two\nm 1\n";
+        assert_eq!(parse(twice_help).unwrap_err().line, 2);
+        let twice_type = "# TYPE m gauge\nm 1\n# TYPE m counter\n";
+        assert_eq!(parse(twice_type).unwrap_err().line, 3);
+    }
+
+    #[test]
+    fn rejects_a_repeated_series() {
+        assert_eq!(parse("m 1\nm 2\n").unwrap_err().line, 2);
+        let labelled = "m{shard=\"0\"} 1\nm{shard=\"1\"} 1\nm{shard=\"0\"} 1\n";
+        assert_eq!(parse(labelled).unwrap_err().line, 3);
+        // Same labels on different names are distinct series.
+        assert!(parse("m{shard=\"0\"} 1\nn{shard=\"0\"} 1\n").is_ok());
     }
 
     #[test]

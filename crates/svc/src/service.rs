@@ -518,6 +518,8 @@ pub struct ServiceHandle {
     demand: Arc<Demand>,
     registry: Arc<TelemetryRegistry>,
     state: Arc<ShardedCache>,
+    /// Read only by [`ServiceHandle::stats_json`], never on a request.
+    plane: Arc<AuditPlane>,
 }
 
 impl ServiceHandle {
@@ -918,10 +920,11 @@ impl ServiceHandle {
     }
 
     /// A fresh [`TelemetrySnapshot`] rendered as JSON — the body of the
-    /// wire STATS opcode (same shape as the exporter's `/snapshot.json`,
-    /// always freshly captured).
+    /// wire STATS opcode (the same document as the exporter's
+    /// `/snapshot.json`, audit section included, always freshly captured).
     pub fn stats_json(&self) -> String {
-        TelemetrySnapshot::capture(0, &self.state, &self.registry).to_json()
+        TelemetrySnapshot::capture_with_audit(0, &self.state, &self.registry, Some(&self.plane))
+            .to_json()
     }
 
     /// The live metrics registry this handle feeds.
@@ -1122,6 +1125,7 @@ impl Service {
             demand: Arc::clone(&self.demand),
             registry: Arc::clone(&self.registry),
             state: Arc::clone(&self.state),
+            plane: Arc::clone(&self.plane),
         }
     }
 

@@ -18,12 +18,25 @@
 //! take the shard mutexes to read the recovery-ladder [`CacheStats`]; that
 //! cost rides on the sampler interval, never on a request.
 //!
+//! Every metric is declared exactly once, as one row of the `METRICS`
+//! table: its `/snapshot.json` key (if any), Prometheus family, kind, help
+//! text, and value source (a registry counter, gauge or histogram, a
+//! [`CacheStats`] / [`DegradedStats`] / [`AuditSnapshot`] field, or a value
+//! derived from the snapshot). [`TelemetrySnapshot::capture_with_audit`]
+//! reads the registry rows, and [`TelemetrySnapshot::to_json`] and
+//! [`TelemetrySnapshot::to_prometheus`] render every row from the table,
+//! so a metric added once appears on both surfaces. The snapshot itself
+//! keeps only the state no row carries (shard health, per-shard vectors,
+//! the engine counters, traces, and the audit and heatmap sections).
+//!
 //! [`ServiceReport`]: crate::ServiceReport
 
 use crate::audit::{AuditPlane, AuditSnapshot};
 use crate::degraded::DegradedStats;
 use crate::sharded::ShardedCache;
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::net::IpAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,7 +193,7 @@ const TRACE_RING: usize = 64;
 /// daemon, the client handles, the sampler, and the scrape endpoint.
 ///
 /// Writers update counters/gauges/histograms wait-free; readers snapshot
-/// via [`TelemetrySnapshot::capture`] without stopping the world.
+/// via [`TelemetrySnapshot::capture_with_audit`] without stopping the world.
 #[derive(Debug)]
 pub struct TelemetryRegistry {
     // Demand-path counters.
@@ -464,9 +477,217 @@ impl HeatmapSnapshot {
     }
 }
 
+/// One metric's value in a snapshot.
+#[derive(Clone, Debug)]
+enum Value {
+    U64(u64),
+    /// Rendered as 0 when not finite (Prometheus has no place for NaN).
+    F64(f64),
+    Hist(Histogram),
+    /// Labelled samples: the label body (`shard="0"`) and its value.
+    Series(Vec<(String, u64)>),
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::U64(v)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::F64(v)
+    }
+}
+
+impl From<Histogram> for Value {
+    fn from(h: Histogram) -> Self {
+        Value::Hist(h)
+    }
+}
+
+/// Where a metric's value comes from.
+#[derive(Clone, Copy)]
+enum Src {
+    /// The live registry, read once at capture (the snapshot keeps the
+    /// value).
+    Reg(fn(&TelemetryRegistry) -> Value),
+    /// The snapshot's own state, read at render; `None` skips the metric
+    /// (its audit, spatial or heatmap section is absent).
+    Snap(fn(&TelemetrySnapshot) -> Option<Value>),
+}
+
+/// One row of [`METRICS`]: everything every surface needs to know about a
+/// metric.
+struct Metric {
+    /// Key in `/snapshot.json`, if the metric appears there. `u64` rows
+    /// are written before the engine counters and histogram rows after
+    /// them, the document's key order.
+    json: Option<&'static str>,
+    /// Prometheus family on `/metrics`, if the metric appears there.
+    family: Option<&'static str>,
+    /// Prometheus type: `counter`, `gauge` or `histogram`.
+    kind: &'static str,
+    /// Prometheus help text.
+    help: &'static str,
+    src: Src,
+}
+
+/// Builds [`METRICS`] from one line per metric:
+/// `json key, Prometheus family, kind, help, source;` (`_` = absent).
+/// Sources: `reg(field)` / `hist(field)` read a registry counter, gauge
+/// or histogram, `reg(|r| ..)` any registry value; `stats(field)` and
+/// `degraded(field)` read [`CacheStats`] / [`DegradedStats`]; `snap(|s|
+/// ..)`, `audit(|a| ..)`, `spatial(|c| ..)` and `heatmap(|h| ..)` derive
+/// a value from the snapshot, its [`AuditSnapshot`], its
+/// [`CorrelationStat`] or its [`HeatmapSnapshot`].
+///
+/// [`CorrelationStat`]: sudoku_obs::CorrelationStat
+macro_rules! metrics {
+    (@opt _) => { None };
+    (@opt $s:literal) => { Some($s) };
+    (@src reg(|$r:ident| $e:expr)) => { Src::Reg(|$r| Value::from($e)) };
+    (@src reg($f:ident)) => { Src::Reg(|r| Value::U64(r.$f.get())) };
+    (@src hist($f:ident)) => { Src::Reg(|r| Value::Hist(r.$f.snapshot())) };
+    (@src stats($f:ident)) => { Src::Snap(|s| Some(Value::U64(s.stats.$f))) };
+    (@src degraded($f:ident)) => { Src::Snap(|s| Some(Value::U64(s.degraded.$f))) };
+    (@src snap(|$s:ident| $e:expr)) => { Src::Snap(|$s| Some(Value::from($e))) };
+    (@src audit(|$a:ident| $e:expr)) => { Src::Snap(|s| s.audit.as_ref().map(|$a| Value::from($e))) };
+    (@src spatial(|$c:ident| $e:expr)) => {
+        Src::Snap(|s| s.audit.as_ref()?.spatial.as_ref().map(|$c| Value::from($e)))
+    };
+    (@src heatmap(|$h:ident| $e:expr)) => { Src::Snap(|s| s.heatmap.as_ref().map(|$h| Value::from($e))) };
+    ($($json:tt, $family:tt, $kind:ident, $help:literal, $how:ident($($src:tt)*);)*) => {
+        /// Every telemetry metric, declared once. [`TelemetrySnapshot`]
+        /// captures the registry rows, and `to_json` / `to_prometheus`
+        /// render every row from here.
+        const METRICS: &[Metric] = &[$(Metric {
+            json: metrics!(@opt $json),
+            family: metrics!(@opt $family),
+            kind: stringify!($kind),
+            help: $help,
+            src: metrics!(@src $how($($src)*)),
+        }),*];
+    };
+}
+
+metrics! {
+    // Demand path.
+    "reads", "sudoku_reads_total", counter, "Demand reads served", reg(reads);
+    "writes", "sudoku_writes_total", counter, "Demand writes served", reg(writes);
+    "failed_writes", "sudoku_failed_writes_total", counter, "Demand writes rejected (shard down)", reg(failed_writes);
+    "escalated_reads", "sudoku_escalated_reads_total", counter, "Demand reads escalated cross-shard", reg(escalated_reads);
+    "due_reads", "sudoku_due_reads_total", counter, "Demand reads left uncorrectable", reg(due_reads);
+    "clean_read_lockfree_hits", "sudoku_clean_read_lockfree_hits_total", counter, "Demand reads served lock-free off the seqlock line view", reg(clean_read_lockfree_hits);
+    "seqlock_retries", "sudoku_seqlock_retries_total", counter, "Seqlock retries taken by lock-free reads", reg(seqlock_retries);
+    // Scrub daemon.
+    "scrub_ticks", "sudoku_scrub_ticks_total", counter, "Scrub ticks completed", reg(scrub_ticks);
+    "skipped_ticks", "sudoku_scrub_skipped_ticks_total", counter, "Scrub ticks skipped (quarantined shard)", reg(skipped_ticks);
+    "injected_lines", "sudoku_injected_lines_total", counter, "Lines faulted by the injectors", reg(injected_lines);
+    "escalations", "sudoku_scrub_escalations_total", counter, "Cross-shard escalations from scrub leftovers", reg(escalations);
+    "escalated_lines", _, counter, "Lines handed to scrub escalations", reg(escalated_lines);
+    "unresolved_lines", "sudoku_scrub_unresolved_lines_total", counter, "Scrub-detected DUE lines", reg(unresolved_lines);
+    "scrub_cursor", "sudoku_scrub_cursor", gauge, "Next shard the daemon scrubs", reg(scrub_cursor);
+    "last_tick_lag_ns", "sudoku_scrub_tick_lag_ns", gauge, "Most recent tick's start lag behind deadline", reg(last_tick_lag_ns);
+    "scrub_lines_swept", "sudoku_scrub_lines_swept_total", counter, "Lines actually swept by the scrub daemon", reg(scrub_lines_swept);
+    "scrub_packet_quota", "sudoku_scrub_packet_quota", gauge, "Most recent adaptive scrub quota (packets per visit)", reg(scrub_packet_quota);
+    "scrub_floor_quota", "sudoku_scrub_floor_quota", gauge, "Most recent adaptive scrub quota floor (packets)", reg(scrub_floor_quota);
+    "scrub_floor_clamps", "sudoku_scrub_floor_clamps_total", counter, "Scrub visits where the quota floor was enforced against demand pressure", reg(scrub_floor_clamps);
+    "traces_issued", "sudoku_traces_total", counter, "Per-request trace IDs issued", reg(|r| r.traces_issued());
+    // Wire plane.
+    "net_connections", "sudoku_net_connections_total", counter, "Wire connections accepted", reg(net_connections);
+    "net_open_connections", "sudoku_net_open_connections", gauge, "Wire connections open", reg(net_open_connections);
+    "net_frames", "sudoku_net_frames_total", counter, "Wire request frames decoded", reg(net_frames);
+    "net_sheds", "sudoku_net_sheds_total", counter, "Wire requests shed with RETRY", reg(net_sheds);
+    "net_malformed", "sudoku_net_malformed_total", counter, "Malformed wire frames", reg(net_malformed);
+    // Latency and quota histograms.
+    "read_latency_ns", "sudoku_read_latency_ns", histogram, "Demand-read latency", hist(read_latency_ns);
+    "write_latency_ns", "sudoku_write_latency_ns", histogram, "Demand-write latency", hist(write_latency_ns);
+    "queue_wait_ns", "sudoku_queue_wait_ns", histogram, "Queue-wait phase", hist(queue_wait_ns);
+    "shard_service_ns", "sudoku_shard_service_ns", histogram, "Shard-service phase", hist(shard_service_ns);
+    "h2_gather_ns", "sudoku_h2_gather_ns", histogram, "Cross-shard H2 gather+repair phase", hist(h2_gather_ns);
+    "scrub_tick_ns", "sudoku_scrub_tick_ns", histogram, "Scrub-tick duration", hist(scrub_tick_ns);
+    "tick_lag_ns", "sudoku_tick_lag_ns", histogram, "Scrub-tick lag", hist(tick_lag_ns);
+    "scrub_quota", "sudoku_scrub_quota_packets", histogram, "Adaptive scrub quota per daemon visit", hist(scrub_quota_hist);
+    _, "sudoku_read_latency_ns_p99", gauge, "Demand-read latency p99 (histogram upper bound)", reg(|r| r.read_latency_ns.snapshot().quantile(0.99));
+    _, "sudoku_read_latency_ns_p999", gauge, "Demand-read latency p999 (histogram upper bound)", reg(|r| r.read_latency_ns.snapshot().quantile(0.999));
+    // Recovery ladder (CacheStats).
+    _, "sudoku_ecc1_repairs_total", counter, "ECC-1 single-bit fixes", stats(ecc1_repairs);
+    _, "sudoku_meta_repairs_total", counter, "ECC-metadata regenerations", stats(meta_repairs);
+    _, "sudoku_multibit_detections_total", counter, "Lines flagged multibit by CRC", stats(multibit_detections);
+    _, "sudoku_raid4_repairs_total", counter, "RAID-4 reconstructions", stats(raid4_repairs);
+    _, "sudoku_sdr_repairs_total", counter, "SDR resurrections", stats(sdr_repairs);
+    _, "sudoku_sdr_trials_total", counter, "SDR flip-and-check trials", stats(sdr_trials);
+    _, "sudoku_hash2_repairs_total", counter, "Repairs only the Hash-2 dimension delivered", stats(hash2_repairs);
+    _, "sudoku_due_lines_total", counter, "Lines left uncorrectable", stats(due_lines);
+    _, "sudoku_group_scans_total", counter, "Whole-group recovery reads", stats(group_scans);
+    // Degraded mode.
+    _, "sudoku_skipped_h2_escalations_total", counter, "H2 escalations refused (shard down)", degraded(skipped_h2_escalations);
+    _, "sudoku_shard_down_rejects_total", counter, "Requests rejected fast on quarantined shards", degraded(shard_down_rejects);
+    _, "sudoku_stuck_reasserts_total", counter, "Bits re-corrupted by stuck cells", degraded(stuck_reasserts);
+    _, "sudoku_spare_strikes_total", counter, "Sparing strikes recorded", degraded(strikes);
+    _, "sudoku_spared_lines", gauge, "Lines remapped to spare pools", degraded(spared_lines);
+    // Shard health.
+    _, "sudoku_shards", gauge, "Configured shard count", snap(|s| s.shards as u64);
+    _, "sudoku_shards_up", gauge, "Shards currently serving", snap(|s| s.shards_up as u64);
+    _, "sudoku_daemon_up", gauge, "1 while the scrub daemon is alive", snap(|s| u64::from(!s.daemon_dead));
+    _, "sudoku_shard_up", gauge, "Liveness per shard", snap(|s| per_shard((0..s.shards).map(|i| u64::from(!s.quarantined.contains(&i)))));
+    _, "sudoku_queue_depth", gauge, "Live request-queue depth per shard", snap(|s| per_shard(s.queue_depths.iter().copied()));
+    _, "sudoku_spare_occupancy", gauge, "Spare-pool occupancy per shard", snap(|s| per_shard(s.spare_occupancy.iter().copied()));
+    // Audit plane.
+    _, "sudoku_scrub_deadline_misses_total", counter, "Packet sweeps whose achieved interval exceeded the hard deadline", audit(|a| a.scrub_deadline_misses);
+    _, "sudoku_scrub_deadline_ns", gauge, "Configured hard scrub deadline", audit(|a| a.scrub_deadline_ns);
+    _, "sudoku_scrub_deadline_misses", counter, "Deadline misses per shard", audit(|a| per_shard(a.per_shard_misses.iter().copied()));
+    _, "sudoku_scrub_staleness_ns", gauge, "Worst live packet staleness per shard", audit(|a| per_shard(a.per_shard_worst_staleness_ns.iter().copied()));
+    _, "sudoku_achieved_scrub_interval_ns", histogram, "Achieved per-packet scrub interval", audit(|a| a.achieved_scrub_interval_ns.clone());
+    _, "sudoku_observed_ber", gauge, "Observed per-interval raw bit-error rate (slow window)", audit(|a| a.observed_ber);
+    _, "sudoku_projected_due_fit", gauge, "Projected DUE FIT at the observed BER", audit(|a| a.projected_fit);
+    _, "sudoku_error_budget_burn_fast", gauge, "Fast-window error-budget burn rate", audit(|a| a.burn_fast);
+    _, "sudoku_error_budget_burn_slow", gauge, "Slow-window error-budget burn rate", audit(|a| a.burn_slow);
+    _, "sudoku_alerts_critical_total", counter, "Critical alerts raised", audit(|a| a.alerts_critical);
+    _, "sudoku_alerts_dropped_total", counter, "Alerts evicted from the ring before scrape", audit(|a| a.alerts_dropped);
+    _, "sudoku_alerts_total", counter, "Alerts raised, by class", audit(|a| labelled(a.alerts_by_class.iter().map(|(class, n)| (format!("class=\"{class}\""), *n))));
+    _, "sudoku_worst_region", gauge, "Index of the region behind the worst-region gauges", audit(|a| a.worst_region);
+    _, "sudoku_worst_region_ber", gauge, "Worst-region observed per-interval raw bit-error rate (slow window)", audit(|a| a.worst_region_ber);
+    _, "sudoku_worst_region_burn", gauge, "Error-budget burn rate were every region at the worst region's BER", audit(|a| a.worst_region_burn);
+    // Spatial plane: the latest correlation verdict and the region grids.
+    _, "sudoku_spatial_z", gauge, "Max-cell z-score of the latest spatial-correlation window", spatial(|c| c.z);
+    _, "sudoku_spatial_dispersion", gauge, "Index of dispersion (variance/mean) of the latest window's cell deltas", spatial(|c| c.dispersion);
+    _, "sudoku_spatial_skew", gauge, "Hottest cell over the i.i.d.-expected per-cell mean, latest window", spatial(|c| c.skew());
+    _, "sudoku_spatial_fired", gauge, "1 while the latest window rejected the i.i.d. failure hypothesis", spatial(|c| u64::from(c.fired));
+    _, "sudoku_region_observed_flips_total", counter, "Observed repair events (ECC-1 + RAID-4 + SDR + DUE) per (shard, region) cell", heatmap(|h| grid(h, &h.observed));
+    _, "sudoku_region_due_total", counter, "Uncorrectable lines per (shard, region) cell", heatmap(|h| grid(h, &h.due));
+    _, "sudoku_region_scrub_staleness_ns", gauge, "Last achieved scrub interval per (shard, region) cell", heatmap(|h| grid(h, &h.staleness));
+}
+
+/// Labelled samples from `(label body, value)` pairs.
+fn labelled(samples: impl Iterator<Item = (String, u64)>) -> Value {
+    Value::Series(samples.collect())
+}
+
+/// One `shard="i"` sample per value, in shard order.
+fn per_shard(values: impl Iterator<Item = u64>) -> Value {
+    labelled(
+        values
+            .enumerate()
+            .map(|(shard, v)| (format!("shard=\"{shard}\""), v)),
+    )
+}
+
+/// One `shard="i",region="j"` sample per cell of a row-major heatmap grid.
+fn grid(hm: &HeatmapSnapshot, cells: &[u64]) -> Value {
+    let n_regions = hm.n_regions.max(1);
+    labelled(cells.iter().enumerate().map(|(i, &v)| {
+        let (shard, region) = (i / n_regions, i % n_regions);
+        (format!("shard=\"{shard}\",region=\"{region}\""), v)
+    }))
+}
+
 /// One coherent picture of the whole service at a sampling instant: the
-/// registry's lock-free metrics, plus the recovery-ladder and degraded
-/// counters pulled (briefly, under the shard mutexes) from the engine.
+/// registry rows of the metric table, plus the state no row carries —
+/// shard health, per-shard vectors, the recovery-ladder and degraded
+/// counters pulled (briefly, under the shard mutexes) from the engine,
+/// sampled traces, and the audit and spatial sections.
 #[derive(Clone, Debug)]
 pub struct TelemetrySnapshot {
     /// Monotone snapshot sequence number (per sampler/scraper).
@@ -485,77 +706,13 @@ pub struct TelemetrySnapshot {
     pub queue_depths: Vec<u64>,
     /// Per-shard spare-pool occupancy (lines remapped).
     pub spare_occupancy: Vec<u64>,
-    /// Demand reads served.
-    pub reads: u64,
-    /// Demand writes served.
-    pub writes: u64,
-    /// Demand writes rejected.
-    pub failed_writes: u64,
-    /// Demand reads that escalated cross-shard.
-    pub escalated_reads: u64,
-    /// Demand reads left uncorrectable.
-    pub due_reads: u64,
-    /// Demand reads served lock-free off the seqlock line view.
-    pub clean_read_lockfree_hits: u64,
-    /// Seqlock retries taken by lock-free reads.
-    pub seqlock_retries: u64,
-    /// Scrub ticks completed.
-    pub scrub_ticks: u64,
-    /// Scrub ticks skipped (quarantined shard).
-    pub skipped_ticks: u64,
-    /// Lines faulted by the injectors.
-    pub injected_lines: u64,
-    /// Cross-shard escalations from scrub leftovers.
-    pub escalations: u64,
-    /// Lines handed to escalations.
-    pub escalated_lines: u64,
-    /// Scrub-detected DUE lines.
-    pub unresolved_lines: u64,
-    /// Next shard the daemon will scrub.
-    pub scrub_cursor: u64,
-    /// Most recent tick's start lag, ns.
-    pub last_tick_lag_ns: u64,
-    /// Lines actually swept by the scrub daemon.
-    pub scrub_lines_swept: u64,
-    /// Most recent adaptive quota decision (packets this visit).
-    pub scrub_packet_quota: u64,
-    /// Most recent adaptive quota floor (packets).
-    pub scrub_floor_quota: u64,
-    /// Visits where the quota floor was enforced against demand pressure.
-    pub scrub_floor_clamps: u64,
-    /// Trace IDs issued (= requests accepted).
-    pub traces_issued: u64,
-    /// Wire connections ever accepted.
-    pub net_connections: u64,
-    /// Wire connections open right now.
-    pub net_open_connections: u64,
-    /// Wire request frames decoded.
-    pub net_frames: u64,
-    /// Wire requests shed with RETRY.
-    pub net_sheds: u64,
-    /// Malformed wire frames.
-    pub net_malformed: u64,
+    /// The values of the registry rows of `METRICS`, in table order.
+    registry: Vec<Value>,
     /// Recovery-ladder counters (ECC-1 fixes, SDR trials, RAID-4/H2
     /// reconstructions, DUEs, group scans) summed over shards+coordinator.
     pub stats: CacheStats,
     /// Degraded-mode counters (sparing, stuck physics, skipped H2, …).
     pub degraded: DegradedStats,
-    /// End-to-end demand-read latency.
-    pub read_latency_ns: Histogram,
-    /// End-to-end demand-write latency.
-    pub write_latency_ns: Histogram,
-    /// Queue-wait phase.
-    pub queue_wait_ns: Histogram,
-    /// Shard-service phase.
-    pub shard_service_ns: Histogram,
-    /// Cross-shard H2 gather+repair phase.
-    pub h2_gather_ns: Histogram,
-    /// Scrub-tick duration.
-    pub scrub_tick_ns: Histogram,
-    /// Scrub-tick lag behind deadline.
-    pub tick_lag_ns: Histogram,
-    /// Adaptive scrub quota per daemon visit, packets.
-    pub scrub_quota: Histogram,
     /// Sampled per-request traces, oldest first.
     pub recent_traces: Vec<TraceRecord>,
     /// The audit plane's view (scrub deadlines, burn rates, alerts) when
@@ -573,16 +730,11 @@ fn unix_ms_now() -> u64 {
 }
 
 impl TelemetrySnapshot {
-    /// Captures the system state: lock-free reads of the registry, plus a
-    /// brief pass under the shard mutexes for [`CacheStats`] and
+    /// Captures the system state: lock-free reads of the registry, a brief
+    /// pass under the shard mutexes for [`CacheStats`] and
     /// [`DegradedStats`] (poison-tolerant — quarantined shards are still
-    /// read).
-    pub fn capture(seq: u64, state: &ShardedCache, reg: &TelemetryRegistry) -> TelemetrySnapshot {
-        Self::capture_with_audit(seq, state, reg, None)
-    }
-
-    /// [`TelemetrySnapshot::capture`], additionally folding in the audit
-    /// plane's deadline/burn/alert view when one is running.
+    /// read), and the audit plane's deadline/burn/alert view when one is
+    /// running.
     pub fn capture_with_audit(
         seq: u64,
         state: &ShardedCache,
@@ -598,41 +750,15 @@ impl TelemetrySnapshot {
             daemon_dead: reg.daemon_dead.get() != 0,
             queue_depths: reg.queue_depths(),
             spare_occupancy: state.spare_occupancy(),
-            reads: reg.reads.get(),
-            writes: reg.writes.get(),
-            failed_writes: reg.failed_writes.get(),
-            escalated_reads: reg.escalated_reads.get(),
-            due_reads: reg.due_reads.get(),
-            clean_read_lockfree_hits: reg.clean_read_lockfree_hits.get(),
-            seqlock_retries: reg.seqlock_retries.get(),
-            scrub_ticks: reg.scrub_ticks.get(),
-            skipped_ticks: reg.skipped_ticks.get(),
-            injected_lines: reg.injected_lines.get(),
-            escalations: reg.escalations.get(),
-            escalated_lines: reg.escalated_lines.get(),
-            unresolved_lines: reg.unresolved_lines.get(),
-            scrub_cursor: reg.scrub_cursor.get(),
-            last_tick_lag_ns: reg.last_tick_lag_ns.get(),
-            scrub_lines_swept: reg.scrub_lines_swept.get(),
-            scrub_packet_quota: reg.scrub_packet_quota.get(),
-            scrub_floor_quota: reg.scrub_floor_quota.get(),
-            scrub_floor_clamps: reg.scrub_floor_clamps.get(),
-            traces_issued: reg.traces_issued(),
-            net_connections: reg.net_connections.get(),
-            net_open_connections: reg.net_open_connections.get(),
-            net_frames: reg.net_frames.get(),
-            net_sheds: reg.net_sheds.get(),
-            net_malformed: reg.net_malformed.get(),
+            registry: METRICS
+                .iter()
+                .filter_map(|m| match m.src {
+                    Src::Reg(get) => Some(get(reg)),
+                    Src::Snap(_) => None,
+                })
+                .collect(),
             stats: state.stats(),
             degraded: state.degraded_stats(),
-            read_latency_ns: reg.read_latency_ns.snapshot(),
-            write_latency_ns: reg.write_latency_ns.snapshot(),
-            queue_wait_ns: reg.queue_wait_ns.snapshot(),
-            shard_service_ns: reg.shard_service_ns.snapshot(),
-            h2_gather_ns: reg.h2_gather_ns.snapshot(),
-            scrub_tick_ns: reg.scrub_tick_ns.snapshot(),
-            tick_lag_ns: reg.tick_lag_ns.snapshot(),
-            scrub_quota: reg.scrub_quota_hist.snapshot(),
             recent_traces: reg.recent_traces(),
             audit: audit.map(AuditPlane::snapshot),
             heatmap: state.heatmaps().map(|m| HeatmapSnapshot::capture(m)),
@@ -644,10 +770,23 @@ impl TelemetrySnapshot {
         self.quarantined.is_empty() && !self.daemon_dead
     }
 
+    /// Every present metric with its value, in table order.
+    fn metrics(&self) -> impl Iterator<Item = (&'static Metric, Cow<'_, Value>)> + '_ {
+        let mut registry = self.registry.iter();
+        METRICS.iter().filter_map(move |m| match m.src {
+            Src::Reg(_) => registry.next().map(|v| (m, Cow::Borrowed(v))),
+            Src::Snap(get) => get(self).map(|v| (m, Cow::Owned(v))),
+        })
+    }
+
     /// One JSON object per snapshot — the flight-recorder JSONL line and
     /// the `/snapshot.json` body.
     pub fn to_json(&self) -> String {
         let traces: Vec<String> = self.recent_traces.iter().map(|t| t.to_json()).collect();
+        let keyed: Vec<_> = self
+            .metrics()
+            .filter_map(|(m, v)| Some((m.json?, v)))
+            .collect();
         let mut obj = JsonObject::new();
         obj.field_u64("seq", self.seq)
             .field_u64("unix_ms", self.unix_ms)
@@ -657,43 +796,20 @@ impl TelemetrySnapshot {
             .field_u64("shards", self.shards as u64)
             .field_bool("daemon_dead", self.daemon_dead)
             .field_array_u64("queue_depths", self.queue_depths.iter().copied())
-            .field_array_u64("spare_occupancy", self.spare_occupancy.iter().copied())
-            .field_u64("reads", self.reads)
-            .field_u64("writes", self.writes)
-            .field_u64("failed_writes", self.failed_writes)
-            .field_u64("escalated_reads", self.escalated_reads)
-            .field_u64("due_reads", self.due_reads)
-            .field_u64("clean_read_lockfree_hits", self.clean_read_lockfree_hits)
-            .field_u64("seqlock_retries", self.seqlock_retries)
-            .field_u64("scrub_ticks", self.scrub_ticks)
-            .field_u64("skipped_ticks", self.skipped_ticks)
-            .field_u64("injected_lines", self.injected_lines)
-            .field_u64("escalations", self.escalations)
-            .field_u64("escalated_lines", self.escalated_lines)
-            .field_u64("unresolved_lines", self.unresolved_lines)
-            .field_u64("scrub_cursor", self.scrub_cursor)
-            .field_u64("last_tick_lag_ns", self.last_tick_lag_ns)
-            .field_u64("scrub_lines_swept", self.scrub_lines_swept)
-            .field_u64("scrub_packet_quota", self.scrub_packet_quota)
-            .field_u64("scrub_floor_quota", self.scrub_floor_quota)
-            .field_u64("scrub_floor_clamps", self.scrub_floor_clamps)
-            .field_u64("traces_issued", self.traces_issued)
-            .field_u64("net_connections", self.net_connections)
-            .field_u64("net_open_connections", self.net_open_connections)
-            .field_u64("net_frames", self.net_frames)
-            .field_u64("net_sheds", self.net_sheds)
-            .field_u64("net_malformed", self.net_malformed)
-            .field_raw("stats", &self.stats.to_json())
-            .field_raw("degraded", &self.degraded.to_json())
-            .field_raw("read_latency_ns", &self.read_latency_ns.to_json())
-            .field_raw("write_latency_ns", &self.write_latency_ns.to_json())
-            .field_raw("queue_wait_ns", &self.queue_wait_ns.to_json())
-            .field_raw("shard_service_ns", &self.shard_service_ns.to_json())
-            .field_raw("h2_gather_ns", &self.h2_gather_ns.to_json())
-            .field_raw("scrub_tick_ns", &self.scrub_tick_ns.to_json())
-            .field_raw("tick_lag_ns", &self.tick_lag_ns.to_json())
-            .field_raw("scrub_quota", &self.scrub_quota.to_json())
-            .field_raw("recent_traces", &format!("[{}]", traces.join(",")));
+            .field_array_u64("spare_occupancy", self.spare_occupancy.iter().copied());
+        for (key, v) in &keyed {
+            if let Value::U64(n) = **v {
+                obj.field_u64(key, n);
+            }
+        }
+        obj.field_raw("stats", &self.stats.to_json())
+            .field_raw("degraded", &self.degraded.to_json());
+        for (key, v) in &keyed {
+            if let Value::Hist(h) = &**v {
+                obj.field_raw(key, &h.to_json());
+            }
+        }
+        obj.field_raw("recent_traces", &format!("[{}]", traces.join(",")));
         if let Some(audit) = &self.audit {
             obj.field_raw("audit", &audit.to_json());
         }
@@ -705,522 +821,33 @@ impl TelemetrySnapshot {
 
     /// Prometheus text exposition (version 0.0.4) of the snapshot.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        let gauge = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-            ));
-        };
-        counter(
-            &mut out,
-            "sudoku_reads_total",
-            "Demand reads served",
-            self.reads,
-        );
-        counter(
-            &mut out,
-            "sudoku_writes_total",
-            "Demand writes served",
-            self.writes,
-        );
-        counter(
-            &mut out,
-            "sudoku_failed_writes_total",
-            "Demand writes rejected (shard down)",
-            self.failed_writes,
-        );
-        counter(
-            &mut out,
-            "sudoku_escalated_reads_total",
-            "Demand reads escalated cross-shard",
-            self.escalated_reads,
-        );
-        counter(
-            &mut out,
-            "sudoku_due_reads_total",
-            "Demand reads left uncorrectable",
-            self.due_reads,
-        );
-        counter(
-            &mut out,
-            "sudoku_clean_read_lockfree_hits_total",
-            "Demand reads served lock-free off the seqlock line view",
-            self.clean_read_lockfree_hits,
-        );
-        counter(
-            &mut out,
-            "sudoku_seqlock_retries_total",
-            "Seqlock retries taken by lock-free reads",
-            self.seqlock_retries,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_ticks_total",
-            "Scrub ticks completed",
-            self.scrub_ticks,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_skipped_ticks_total",
-            "Scrub ticks skipped (quarantined shard)",
-            self.skipped_ticks,
-        );
-        counter(
-            &mut out,
-            "sudoku_injected_lines_total",
-            "Lines faulted by the injectors",
-            self.injected_lines,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_escalations_total",
-            "Cross-shard escalations from scrub leftovers",
-            self.escalations,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_unresolved_lines_total",
-            "Scrub-detected DUE lines",
-            self.unresolved_lines,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_lines_swept_total",
-            "Lines actually swept by the scrub daemon",
-            self.scrub_lines_swept,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_floor_clamps_total",
-            "Scrub visits where the quota floor was enforced against demand pressure",
-            self.scrub_floor_clamps,
-        );
-        counter(
-            &mut out,
-            "sudoku_traces_total",
-            "Per-request trace IDs issued",
-            self.traces_issued,
-        );
-        // Wire plane.
-        counter(
-            &mut out,
-            "sudoku_net_connections_total",
-            "Wire connections accepted",
-            self.net_connections,
-        );
-        counter(
-            &mut out,
-            "sudoku_net_frames_total",
-            "Wire request frames decoded",
-            self.net_frames,
-        );
-        counter(
-            &mut out,
-            "sudoku_net_sheds_total",
-            "Wire requests shed with RETRY",
-            self.net_sheds,
-        );
-        counter(
-            &mut out,
-            "sudoku_net_malformed_total",
-            "Malformed wire frames",
-            self.net_malformed,
-        );
-        gauge(
-            &mut out,
-            "sudoku_net_open_connections",
-            "Wire connections open",
-            self.net_open_connections,
-        );
-        // Recovery ladder (CacheStats).
-        counter(
-            &mut out,
-            "sudoku_ecc1_repairs_total",
-            "ECC-1 single-bit fixes",
-            self.stats.ecc1_repairs,
-        );
-        counter(
-            &mut out,
-            "sudoku_meta_repairs_total",
-            "ECC-metadata regenerations",
-            self.stats.meta_repairs,
-        );
-        counter(
-            &mut out,
-            "sudoku_multibit_detections_total",
-            "Lines flagged multibit by CRC",
-            self.stats.multibit_detections,
-        );
-        counter(
-            &mut out,
-            "sudoku_raid4_repairs_total",
-            "RAID-4 reconstructions",
-            self.stats.raid4_repairs,
-        );
-        counter(
-            &mut out,
-            "sudoku_sdr_repairs_total",
-            "SDR resurrections",
-            self.stats.sdr_repairs,
-        );
-        counter(
-            &mut out,
-            "sudoku_sdr_trials_total",
-            "SDR flip-and-check trials",
-            self.stats.sdr_trials,
-        );
-        counter(
-            &mut out,
-            "sudoku_hash2_repairs_total",
-            "Repairs only the Hash-2 dimension delivered",
-            self.stats.hash2_repairs,
-        );
-        counter(
-            &mut out,
-            "sudoku_due_lines_total",
-            "Lines left uncorrectable",
-            self.stats.due_lines,
-        );
-        counter(
-            &mut out,
-            "sudoku_group_scans_total",
-            "Whole-group recovery reads",
-            self.stats.group_scans,
-        );
-        // Degraded mode.
-        counter(
-            &mut out,
-            "sudoku_skipped_h2_escalations_total",
-            "H2 escalations refused (shard down)",
-            self.degraded.skipped_h2_escalations,
-        );
-        counter(
-            &mut out,
-            "sudoku_shard_down_rejects_total",
-            "Requests rejected fast on quarantined shards",
-            self.degraded.shard_down_rejects,
-        );
-        counter(
-            &mut out,
-            "sudoku_stuck_reasserts_total",
-            "Bits re-corrupted by stuck cells",
-            self.degraded.stuck_reasserts,
-        );
-        counter(
-            &mut out,
-            "sudoku_spare_strikes_total",
-            "Sparing strikes recorded",
-            self.degraded.strikes,
-        );
-        gauge(
-            &mut out,
-            "sudoku_shards",
-            "Configured shard count",
-            self.shards as u64,
-        );
-        gauge(
-            &mut out,
-            "sudoku_shards_up",
-            "Shards currently serving",
-            self.shards_up as u64,
-        );
-        gauge(
-            &mut out,
-            "sudoku_daemon_up",
-            "1 while the scrub daemon is alive",
-            u64::from(!self.daemon_dead),
-        );
-        gauge(
-            &mut out,
-            "sudoku_scrub_cursor",
-            "Next shard the daemon scrubs",
-            self.scrub_cursor,
-        );
-        gauge(
-            &mut out,
-            "sudoku_scrub_tick_lag_ns",
-            "Most recent tick's start lag behind deadline",
-            self.last_tick_lag_ns,
-        );
-        gauge(
-            &mut out,
-            "sudoku_scrub_packet_quota",
-            "Most recent adaptive scrub quota (packets per visit)",
-            self.scrub_packet_quota,
-        );
-        gauge(
-            &mut out,
-            "sudoku_scrub_floor_quota",
-            "Most recent adaptive scrub quota floor (packets)",
-            self.scrub_floor_quota,
-        );
-        gauge(
-            &mut out,
-            "sudoku_spared_lines",
-            "Lines remapped to spare pools",
-            self.degraded.spared_lines,
-        );
-        gauge(
-            &mut out,
-            "sudoku_read_latency_ns_p99",
-            "Demand-read latency p99 (histogram upper bound)",
-            self.read_latency_ns.quantile(0.99),
-        );
-        gauge(
-            &mut out,
-            "sudoku_read_latency_ns_p999",
-            "Demand-read latency p999 (histogram upper bound)",
-            self.read_latency_ns.quantile(0.999),
-        );
-        // Per-shard labelled gauges.
-        out.push_str("# HELP sudoku_shard_up Liveness per shard\n# TYPE sudoku_shard_up gauge\n");
-        for shard in 0..self.shards {
-            let up = u64::from(!self.quarantined.contains(&shard));
-            out.push_str(&format!("sudoku_shard_up{{shard=\"{shard}\"}} {up}\n"));
-        }
-        out.push_str(
-            "# HELP sudoku_queue_depth Live request-queue depth per shard\n# TYPE sudoku_queue_depth gauge\n",
-        );
-        for (shard, depth) in self.queue_depths.iter().enumerate() {
-            out.push_str(&format!(
-                "sudoku_queue_depth{{shard=\"{shard}\"}} {depth}\n"
-            ));
-        }
-        out.push_str(
-            "# HELP sudoku_spare_occupancy Spare-pool occupancy per shard\n# TYPE sudoku_spare_occupancy gauge\n",
-        );
-        for (shard, n) in self.spare_occupancy.iter().enumerate() {
-            out.push_str(&format!(
-                "sudoku_spare_occupancy{{shard=\"{shard}\"}} {n}\n"
-            ));
-        }
-        // Histograms.
-        prometheus_hist(
-            &mut out,
-            "sudoku_read_latency_ns",
-            "Demand-read latency",
-            &self.read_latency_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_write_latency_ns",
-            "Demand-write latency",
-            &self.write_latency_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_queue_wait_ns",
-            "Queue-wait phase",
-            &self.queue_wait_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_shard_service_ns",
-            "Shard-service phase",
-            &self.shard_service_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_h2_gather_ns",
-            "Cross-shard H2 gather+repair phase",
-            &self.h2_gather_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_scrub_tick_ns",
-            "Scrub-tick duration",
-            &self.scrub_tick_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_tick_lag_ns",
-            "Scrub-tick lag",
-            &self.tick_lag_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_scrub_quota_packets",
-            "Adaptive scrub quota per daemon visit",
-            &self.scrub_quota,
-        );
-        if let Some(audit) = &self.audit {
-            let fgauge = |out: &mut String, name: &str, help: &str, v: f64| {
-                let v = if v.is_finite() { v } else { 0.0 };
-                out.push_str(&format!(
-                    "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-                ));
-            };
-            counter(
-                &mut out,
-                "sudoku_scrub_deadline_misses_total",
-                "Packet sweeps whose achieved interval exceeded the hard deadline",
-                audit.scrub_deadline_misses,
-            );
-            gauge(
-                &mut out,
-                "sudoku_scrub_deadline_ns",
-                "Configured hard scrub deadline",
-                audit.scrub_deadline_ns,
-            );
-            out.push_str(
-                "# HELP sudoku_scrub_deadline_misses Deadline misses per shard\n\
-                 # TYPE sudoku_scrub_deadline_misses counter\n",
-            );
-            for (shard, misses) in audit.per_shard_misses.iter().enumerate() {
-                out.push_str(&format!(
-                    "sudoku_scrub_deadline_misses{{shard=\"{shard}\"}} {misses}\n"
-                ));
-            }
-            out.push_str(
-                "# HELP sudoku_scrub_staleness_ns Worst live packet staleness per shard\n\
-                 # TYPE sudoku_scrub_staleness_ns gauge\n",
-            );
-            for (shard, ns) in audit.per_shard_worst_staleness_ns.iter().enumerate() {
-                out.push_str(&format!(
-                    "sudoku_scrub_staleness_ns{{shard=\"{shard}\"}} {ns}\n"
-                ));
-            }
-            prometheus_hist(
-                &mut out,
-                "sudoku_achieved_scrub_interval_ns",
-                "Achieved per-packet scrub interval",
-                &audit.achieved_scrub_interval_ns,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_observed_ber",
-                "Observed per-interval raw bit-error rate (slow window)",
-                audit.observed_ber,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_projected_due_fit",
-                "Projected DUE FIT at the observed BER",
-                audit.projected_fit,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_error_budget_burn_fast",
-                "Fast-window error-budget burn rate",
-                audit.burn_fast,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_error_budget_burn_slow",
-                "Slow-window error-budget burn rate",
-                audit.burn_slow,
-            );
-            counter(
-                &mut out,
-                "sudoku_alerts_critical_total",
-                "Critical alerts raised",
-                audit.alerts_critical,
-            );
-            counter(
-                &mut out,
-                "sudoku_alerts_dropped_total",
-                "Alerts evicted from the ring before scrape",
-                audit.alerts_dropped,
-            );
-            out.push_str(
-                "# HELP sudoku_alerts_total Alerts raised, by class\n\
-                 # TYPE sudoku_alerts_total counter\n",
-            );
-            for (class, n) in &audit.alerts_by_class {
-                out.push_str(&format!("sudoku_alerts_total{{class=\"{class}\"}} {n}\n"));
-            }
-            gauge(
-                &mut out,
-                "sudoku_worst_region",
-                "Index of the region behind the worst-region gauges",
-                audit.worst_region,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_worst_region_ber",
-                "Worst-region observed per-interval raw bit-error rate (slow window)",
-                audit.worst_region_ber,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_worst_region_burn",
-                "Error-budget burn rate were every region at the worst region's BER",
-                audit.worst_region_burn,
-            );
-            if let Some(spatial) = &audit.spatial {
-                fgauge(
-                    &mut out,
-                    "sudoku_spatial_z",
-                    "Max-cell z-score of the latest spatial-correlation window",
-                    spatial.z,
-                );
-                fgauge(
-                    &mut out,
-                    "sudoku_spatial_dispersion",
-                    "Index of dispersion (variance/mean) of the latest window's cell deltas",
-                    spatial.dispersion,
-                );
-                fgauge(
-                    &mut out,
-                    "sudoku_spatial_skew",
-                    "Hottest cell over the i.i.d.-expected per-cell mean, latest window",
-                    spatial.skew(),
-                );
-                gauge(
-                    &mut out,
-                    "sudoku_spatial_fired",
-                    "1 while the latest window rejected the i.i.d. failure hypothesis",
-                    u64::from(spatial.fired),
-                );
-            }
-        }
-        if let Some(hm) = &self.heatmap {
-            let n_regions = hm.n_regions.max(1);
-            let grid = |out: &mut String, name: &str, help: &str, typ: &str, cells: &[u64]| {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {typ}\n"));
-                for (i, v) in cells.iter().enumerate() {
-                    let (shard, region) = (i / n_regions, i % n_regions);
-                    out.push_str(&format!(
-                        "{name}{{shard=\"{shard}\",region=\"{region}\"}} {v}\n"
-                    ));
+        let mut out = String::with_capacity(16 * 1024);
+        for (m, v) in self.metrics() {
+            let Some(name) = m.family else { continue };
+            let _ = writeln!(out, "# HELP {name} {}\n# TYPE {name} {}", m.help, m.kind);
+            match &*v {
+                Value::U64(n) => {
+                    let _ = writeln!(out, "{name} {n}");
                 }
-            };
-            grid(
-                &mut out,
-                "sudoku_region_observed_flips_total",
-                "Observed repair events (ECC-1 + RAID-4 + SDR + DUE) per (shard, region) cell",
-                "counter",
-                &hm.observed,
-            );
-            grid(
-                &mut out,
-                "sudoku_region_due_total",
-                "Uncorrectable lines per (shard, region) cell",
-                "counter",
-                &hm.due,
-            );
-            grid(
-                &mut out,
-                "sudoku_region_scrub_staleness_ns",
-                "Last achieved scrub interval per (shard, region) cell",
-                "gauge",
-                &hm.staleness,
-            );
+                Value::F64(x) => {
+                    let _ = writeln!(out, "{name} {}", if x.is_finite() { *x } else { 0.0 });
+                }
+                Value::Hist(h) => prometheus_hist(&mut out, name, h),
+                Value::Series(samples) => {
+                    for (labels, n) in samples {
+                        let _ = writeln!(out, "{name}{{{labels}}} {n}");
+                    }
+                }
+            }
         }
         out
     }
 }
 
-/// Renders one histogram in Prometheus exposition shape: cumulative `le`
-/// buckets (sparse — only buckets that change the cumulative count, plus
-/// `+Inf`), then `_sum` and `_count`.
-fn prometheus_hist(out: &mut String, name: &str, help: &str, h: &Histogram) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
+/// Renders one histogram's samples in Prometheus exposition shape:
+/// cumulative `le` buckets (sparse — only buckets that change the
+/// cumulative count, plus `+Inf`), then `_sum` and `_count`.
+fn prometheus_hist(out: &mut String, name: &str, h: &Histogram) {
     let mut cumulative = 0u64;
     for (bound, count) in h.all_buckets() {
         if count == 0 {
@@ -1230,11 +857,11 @@ fn prometheus_hist(out: &mut String, name: &str, help: &str, h: &Histogram) {
         if bound == u64::MAX {
             continue; // folded into +Inf below
         }
-        out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
+        let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
     }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-    out.push_str(&format!("{name}_sum {}\n", h.sum()));
-    out.push_str(&format!("{name}_count {}\n", h.count()));
+    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
+    let _ = writeln!(out, "{name}_sum {}", h.sum());
+    let _ = writeln!(out, "{name}_count {}", h.count());
 }
 
 /// Bounded ring of the most recent [`TelemetrySnapshot`]s — the in-memory
@@ -1301,13 +928,14 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::promtext;
     use crate::sharded::ShardedCache;
     use sudoku_core::{Scheme, SudokuConfig};
 
     fn snap(seq: u64) -> TelemetrySnapshot {
         let state = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 2).unwrap();
         let reg = TelemetryRegistry::new(2);
-        TelemetrySnapshot::capture(seq, &state, &reg)
+        TelemetrySnapshot::capture_with_audit(seq, &state, &reg, None)
     }
 
     #[test]
@@ -1363,25 +991,47 @@ mod tests {
             service_ns: 200,
             h2_ns: 0,
         });
-        let snap = TelemetrySnapshot::capture(7, &state, &reg);
+        let snap = TelemetrySnapshot::capture_with_audit(7, &state, &reg, None);
         assert!(snap.healthy());
         let json = snap.to_json();
         assert!(json.contains("\"seq\":7"), "{json}");
         assert!(json.contains("\"reads\":3"), "{json}");
         assert!(json.contains("\"recent_traces\":[{"), "{json}");
         assert!(json.contains("\"queue_wait_ns\""), "{json}");
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("sudoku_reads_total 3"), "{prom}");
-        assert!(prom.contains("sudoku_shard_up{shard=\"0\"} 1"), "{prom}");
-        assert!(
-            prom.contains("sudoku_read_latency_ns_bucket{le=\"+Inf\"} 1"),
-            "{prom}"
-        );
-        assert!(prom.contains("sudoku_read_latency_ns_count 1"), "{prom}");
-        assert!(
-            prom.contains("# TYPE sudoku_ecc1_repairs_total counter"),
-            "{prom}"
-        );
+        let prom = promtext::parse(&snap.to_prometheus()).expect("exposition parses");
+        prom.check_histograms().unwrap();
+        let family = |key| {
+            METRICS
+                .iter()
+                .find(|m| m.json == Some(key))
+                .and_then(|m| m.family)
+                .unwrap()
+        };
+        assert_eq!(prom.value(family("reads")), Some(3.0));
+        let read_latency = family("read_latency_ns");
+        assert_eq!(prom.value(&format!("{read_latency}_count")), Some(1.0));
+    }
+
+    #[test]
+    fn every_present_row_renders_once_with_its_type_and_help() {
+        let snap = snap(0);
+        let prom = promtext::parse(&snap.to_prometheus()).expect("exposition parses");
+        for m in METRICS {
+            let Some(family) = m.family else { continue };
+            // Without an audit plane or heatmaps those sections' rows are
+            // skipped, and nothing else is.
+            let present = match m.src {
+                Src::Reg(_) => true,
+                Src::Snap(get) => get(&snap).is_some(),
+            };
+            assert_eq!(prom.types.contains_key(family), present, "{family}");
+            if present {
+                assert_eq!(prom.types[family], m.kind, "{family}");
+                assert_eq!(prom.helps[family], m.help, "{family}");
+            }
+        }
+        // 76 families, less 15 audit, 4 spatial and 3 heatmap rows.
+        assert_eq!(prom.types.len(), 54);
     }
 
     #[test]
@@ -1389,12 +1039,10 @@ mod tests {
         let state = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 2).unwrap();
         let reg = TelemetryRegistry::new(2);
         state.health().quarantine(1);
-        let snap = TelemetrySnapshot::capture(0, &state, &reg);
+        let snap = TelemetrySnapshot::capture_with_audit(0, &state, &reg, None);
         assert!(!snap.healthy());
         assert_eq!(snap.quarantined, vec![1]);
         assert_eq!(snap.shards_up, 1);
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("sudoku_shard_up{shard=\"1\"} 0"), "{prom}");
     }
 
     #[test]
