@@ -1325,7 +1325,8 @@ fn claim_and_drain(
     reg: &TelemetryRegistry,
 ) -> u64 {
     let q = &demand.queues[shard];
-    if q.claimed.swap(true, Ordering::Acquire) {
+    // SeqCst, pairing with the SeqCst store in `release_claim`: see there.
+    if q.claimed.swap(true, Ordering::SeqCst) {
         return 0; // another thread owns this shard right now
     }
     let served = drain_claimed(state, demand, shard, reg);
@@ -1372,8 +1373,14 @@ fn release_claim(
     let q = &demand.queues[shard];
     let mut served = 0u64;
     loop {
-        q.claimed.store(false, Ordering::Release);
-        if q.len.load(Ordering::SeqCst) == 0 || q.claimed.swap(true, Ordering::Acquire) {
+        // Store-buffering pair with the enqueuer, which increments `len`
+        // and then swaps `claimed` in `claim_and_drain`: all four accesses
+        // are SeqCst, so in their single total order either our `len`
+        // load sees the push or the enqueuer's swap sees this release.
+        // With a Release store here, both could read the stale value and
+        // strand the op with nobody draining it.
+        q.claimed.store(false, Ordering::SeqCst);
+        if q.len.load(Ordering::SeqCst) == 0 || q.claimed.swap(true, Ordering::SeqCst) {
             return served;
         }
         served += drain_claimed(state, demand, shard, reg);
