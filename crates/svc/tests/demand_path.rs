@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 use sudoku_codes::LineData;
 use sudoku_fault::FaultInjector;
@@ -232,4 +233,67 @@ fn read_to_channel_path_still_serves() {
     assert_eq!(seen, 256);
     let report = service.shutdown();
     assert_eq!(report.reads, 256);
+}
+
+/// Liveness of the queued path: eight clients contend for one shard with
+/// a queue bound of 4, so ops queue behind a held claim and bounded
+/// enqueues block, and every queued op must be served by whichever client
+/// drains the shard. Each client owns one line and writes then reads it
+/// back every round (read-your-write through the pending gate). A
+/// stranded op would hang its client forever; the deadline turns that
+/// into a failure instead.
+///
+/// An op only queues when its client finds the claim held through every
+/// retry, i.e. when the holder is preempted mid-op, which a fast build
+/// can dodge for all of the first `ROUNDS`. Clients therefore keep going
+/// (up to `MAX_ROUNDS`) until the queued path has run at least once.
+#[test]
+fn contended_queue_serves_every_op_without_stranding() {
+    const CLIENTS: u64 = 8;
+    const ROUNDS: u64 = 2_000;
+    const MAX_ROUNDS: u64 = 50 * ROUNDS;
+    let mut config = ServiceConfig::small(LINES, 1, 0.0, 31);
+    config.scrub_every = None;
+    config.queue_depth = 4;
+    let service = Service::start(config).unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|t| {
+            let handle = service.handle();
+            let done = done_tx.clone();
+            std::thread::spawn(move || {
+                let queued = || handle.registry().queue_depth_hist.snapshot().count() > 0;
+                let mut rounds = 0;
+                while rounds < ROUNDS || (rounds < MAX_ROUNDS && !queued()) {
+                    let data = pattern(t * MAX_ROUNDS + rounds);
+                    handle.write(t, &data).unwrap();
+                    let got = handle.read(t).unwrap();
+                    assert_eq!(got, data, "client {t} round {rounds}");
+                    rounds += 1;
+                }
+                let _ = done.send(rounds);
+            })
+        })
+        .collect();
+    drop(done_tx);
+    let mut rounds = 0;
+    for _ in 0..CLIENTS {
+        match done_rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(n) => rounds += n,
+            Err(RecvTimeoutError::Timeout) => panic!("a client hung: an op was stranded"),
+            Err(RecvTimeoutError::Disconnected) => break, // a client panicked
+        }
+    }
+    for client in clients {
+        client.join().expect("client panicked");
+    }
+    assert!(
+        service.registry().queue_depth_hist.snapshot().count() > 0,
+        "no op took the queued path"
+    );
+    let report = service.shutdown();
+    assert_eq!(report.writes, rounds);
+    assert_eq!(report.reads, rounds);
+    assert_eq!(report.failed_writes, 0);
+    assert!(report.fully_healthy());
 }
