@@ -322,8 +322,8 @@ pub struct QuotaDecision {
     /// Demand pressure asked for *less* than the floor — the floor was
     /// enforced against the backoff signal.
     pub floor_clamped: bool,
-    /// A packet's staleness crossed [`URGENCY_FRACTION`] of the deadline:
-    /// the quota was forced to the ceiling.
+    /// A packet's staleness crossed the urgency fraction (0.85) of the
+    /// deadline: the quota was forced to the ceiling.
     pub emergency: bool,
     /// The shard has not yet been covered once since the controller
     /// started: cold-start warmup sweeps at the ceiling so the first
@@ -355,19 +355,19 @@ struct ShardControl {
 /// * **floor** — from the *achieved* inter-visit period (fast-attack /
 ///   slow-decay EWMA: a worse period is adopted in one observation), not
 ///   the configured one: the packets-per-visit that revisits every packet
-///   within the deadline at the measured cadence, times
-///   [`FLOOR_HEADROOM`]. When ticks run long or shards drop out of the
+///   within the deadline at the measured cadence, times a 2× headroom
+///   (`FLOOR_HEADROOM`). When ticks run long or shards drop out of the
 ///   rotation, the measured period moves and the floor follows — the
 ///   deadline math stays honest instead of assuming the ideal schedule.
-/// * **ceiling** — [`CEILING_FACTOR`] × floor, capped at the shard's
+/// * **ceiling** — 8 × floor (`CEILING_FACTOR`), capped at the shard's
 ///   packet count: an idle system sweeps its whole shard every visit.
 /// * **backoff** — demand pressure `p = max(depth/bound, lag/budget)`
 ///   (clamped to `[0,1]`) scales the quota down from the ceiling, but
 ///   never below the floor; a decision the pressure pushed under the
 ///   floor is reported as `floor_clamped` (the telemetry counter the
 ///   watchdog's floor-breach alert keys on).
-/// * **emergency** — a packet that would cross [`URGENCY_FRACTION`] of
-///   the deadline before the *next* visit (staleness + achieved period)
+/// * **emergency** — a packet that would cross 0.85 of the deadline
+///   (`URGENCY_FRACTION`) before the *next* visit (staleness + achieved period)
 ///   overrides everything and goes to the ceiling.
 /// * **warmup** — until the first full rotation has covered every packet
 ///   once, the quota stays at the ceiling and backpressure does not get

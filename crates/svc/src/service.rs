@@ -1,8 +1,8 @@
-//! The live service front-end: a work-stealing worker pool serving
-//! batched **work packets** off per-shard bounded queues, a lock-free
-//! clean-read fast path, preallocated completion slots, a background scrub
-//! daemon with per-shard forked fault injectors, a live telemetry plane,
-//! and graceful drain/shutdown.
+//! The live service front-end: per-shard bounded queues drained by
+//! whichever client holds the shard's claim, a lock-free clean-read fast
+//! path, preallocated completion slots, a background scrub daemon with
+//! per-shard forked fault injectors, a live telemetry plane, and graceful
+//! drain/shutdown. The service runs no demand-serving threads of its own.
 //!
 //! # The demand path
 //!
@@ -16,17 +16,17 @@
 //! Everything else funnels through one per-shard **claim** (an atomic
 //! flag admitting a single drainer at a time, so **repairs stay
 //! serialized per shard**). A client whose shard claim is free serves its
-//! own op *inline*: drain whatever is FIFO-ahead in the shard queue, run
-//! the op through a [`ShardSession`], release — no op allocation, no
-//! context switch. A held claim is yielded to and retried a few times
-//! (its holder is mid-op, sub-µs) before the client pays the queue path:
-//! the op lands on the owning shard's bounded [`VecDeque`] (producers
-//! block when a shard's queue is at its bound, so a hot shard throttles
-//! its own clients), writes fire-and-forget behind a per-line pending
-//! gate that keeps lock-free readers honest, and reads ride preallocated
-//! per-thread [`CompletionSlot`]s: whoever drains the queue — the
-//! enqueuer itself via flat combining, the claim holder's release
-//! re-check, or a pool worker as the backstop — pops up to [`BATCH`] ops
+//! own op *inline*: claim, drain whatever is FIFO-ahead in the shard
+//! queue, serve its own op through a [`ShardSession`], release — no op
+//! allocation, no context switch. A held claim is yielded to and retried
+//! a few times (its holder is mid-op, sub-µs) before the client pays the
+//! queue path: the op lands on the owning shard's bounded [`VecDeque`]
+//! (producers block when a shard's queue is at its bound, so a hot shard
+//! throttles its own clients), writes fire-and-forget behind a per-line
+//! pending gate that keeps lock-free readers honest, and reads ride
+//! preallocated per-thread [`CompletionSlot`]s. Every enqueuer then tries
+//! the claim itself; whoever holds it — that enqueuer, or the holder it
+//! lost to, whose release re-checks the queue — pops up to [`BATCH`] ops
 //! at once, serves the packet through one session, writes each result
 //! and flips one atomic flag; the client spins briefly then parks. No
 //! per-request channel allocation anywhere on the hot path.
@@ -41,7 +41,7 @@
 //!
 //! # Telemetry
 //!
-//! Every worker and the daemon publish into a shared lock-free
+//! Every claim holder and the daemon publish into a shared lock-free
 //! [`TelemetryRegistry`] as they go — counters (including the lock-free
 //! hit/retry rate), queue-depth gauges, and per-phase latency histograms
 //! (queue wait → shard service → cross-shard H2 gather+repair), threaded
@@ -60,21 +60,21 @@
 //! everything queued behind it. Every handle operation returns
 //! `Result<_, `[`ServiceError`]`>`:
 //!
-//! * A worker panic (organic or injected via
+//! * A panic while serving an op (organic, or injected via
 //!   [`ServiceHandle::inject_worker_panic`]) is caught at the op boundary;
 //!   the shard is **quarantined**, its queued ops complete with
 //!   [`ServiceError::ShardDown`], and subsequent requests to it fail fast
 //!   while the other N−1 shards keep serving. The registry (shared, not
-//!   worker-local) keeps everything the packet recorded.
+//!   thread-local) keeps everything the packet recorded.
 //! * A scrub daemon panic is caught per tick; scrubbing stops but demand
 //!   traffic continues, and [`ServiceReport::daemon_panicked`] says so.
-//! * Shutdown never panics and never strands a client: workers exit only
-//!   after verifying every queue is empty with acceptance closed, so
-//!   every accepted op was served (live shards) or error-completed (dead
-//!   shards). Panicked shards land in [`ServiceReport::worker_panics`],
-//!   surviving telemetry is harvested (a poisoned shard mutex does not
-//!   block counter collection), and the degraded-mode counters land in
-//!   [`ServiceReport::degraded`].
+//! * Shutdown never panics and never strands a client: it closes
+//!   acceptance and then claims and drains every shard itself until each
+//!   queue is verifiably empty, so every accepted op was served (live
+//!   shards) or error-completed (dead shards). Panicked shards land in
+//!   [`ServiceReport::worker_panics`], surviving telemetry is harvested (a
+//!   poisoned shard mutex does not block counter collection), and the
+//!   degraded-mode counters land in [`ServiceReport::degraded`].
 //!
 //! [`TelemetrySnapshot`]: crate::TelemetrySnapshot
 //! [`CompletionSlot`]: crate::slot::CompletionSlot
@@ -95,7 +95,6 @@ use std::io::Write as _;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::thread::JoinHandle;
@@ -124,7 +123,7 @@ pub struct ServiceConfig {
     /// The cache geometry and scheme (the service applies
     /// [`SudokuConfig::with_deferred_hash2`] internally per shard).
     pub cache: SudokuConfig,
-    /// Number of shards = number of pool workers.
+    /// Number of shards, each with its own queue, claim, and mutex.
     pub n_shards: usize,
     /// Bound of each shard's request queue (producers block when full).
     pub queue_depth: usize,
@@ -177,37 +176,13 @@ impl ServiceConfig {
     }
 }
 
-/// Where a queued read's reply goes.
-enum ReadDest {
-    /// A client's preallocated completion slot (the common case).
-    Slot(SlotSender<Result<LineData, ServiceError>>),
-    /// A caller-owned channel ([`ServiceHandle::read_to`]), so one client
-    /// thread can keep several reads in flight.
-    Channel(Sender<ReadReply>),
-}
-
-impl ReadDest {
-    fn complete(self, line: u64, trace: u64, result: Result<LineData, ServiceError>) {
-        match self {
-            ReadDest::Slot(sender) => sender.complete(result),
-            ReadDest::Channel(tx) => {
-                let _ = tx.send(ReadReply {
-                    line,
-                    trace,
-                    result,
-                });
-            }
-        }
-    }
-}
-
 /// One demand operation queued for a shard.
 enum Op {
     Read {
         line: u64,
         trace: u64,
         enqueued: Instant,
-        dest: ReadDest,
+        reply: SlotSender<Result<LineData, ServiceError>>,
     },
     Write {
         line: u64,
@@ -215,32 +190,20 @@ enum Op {
         data: LineData,
         enqueued: Instant,
     },
-    /// Chaos injection: the serving worker panics on purpose when it pops
-    /// this, optionally while holding the shard's state mutex (which
+    /// Chaos injection: whoever drains the shard panics on purpose when it
+    /// pops this, optionally while holding the shard's state mutex (which
     /// poisons it, like a real mid-repair panic would).
     Panic { hold_lock: bool },
 }
 
-/// The answer to a [`ServiceHandle`] read.
-#[derive(Clone, Copy, Debug)]
-pub struct ReadReply {
-    /// The line that was read.
-    pub line: u64,
-    /// The request's trace ID (allocated at enqueue; the same ID keys the
-    /// sampled per-phase [`TraceRecord`]s in `/snapshot.json`).
-    pub trace: u64,
-    /// The recovered data, a DUE, or an availability error.
-    pub result: Result<LineData, ServiceError>,
-}
-
-/// One shard's bounded op queue, claimable by one pool worker at a time.
+/// One shard's bounded op queue and the claim that admits one drainer.
 struct ShardQueue {
     ops: Mutex<VecDeque<Op>>,
-    /// Lock-free mirror of `ops.len()`, so parking workers can test
-    /// "unclaimed shard with work" without touching the queue mutex.
+    /// Mirror of `ops.len()`, so the claim's release re-check (and the
+    /// wire server's shed probe) can read the occupancy without the mutex.
     len: AtomicUsize,
-    /// Set while a worker is serving this shard — the claim is what keeps
-    /// repairs serialized per shard even with a stealing pool.
+    /// Set while one thread serves this shard — the claim is what keeps
+    /// repairs serialized per shard with every client able to drain.
     claimed: AtomicBool,
     /// Signalled when ops are popped, releasing producers blocked on the
     /// queue bound.
@@ -258,34 +221,25 @@ impl ShardQueue {
     }
 }
 
-/// The shared demand plane: per-shard queues plus the pool's wake/idle
-/// machinery and shutdown state.
+/// The shared demand plane: per-shard queues plus shutdown state.
 struct Demand {
     queues: Vec<ShardQueue>,
-    /// Ops enqueued but not yet popped, across all shards (incremented
-    /// *after* the push, so a nonzero queue implies `pending` catches up).
-    pending: AtomicU64,
     /// Cleared by shutdown; checked by producers under the queue lock, so
-    /// the workers' verify-empty exit cannot race a late push.
+    /// shutdown's verify-empty drain cannot race a late push.
     accepting: AtomicBool,
-    idle: Mutex<()>,
-    wake: Condvar,
-    /// Workers currently inside the park protocol (between announcing the
-    /// park under the `idle` lock and leaving the wait). Producers skip
-    /// the notify entirely while this is zero — under load, enqueue costs
-    /// two atomics instead of a mutex + condvar signal per op.
-    parked: AtomicUsize,
-    /// Shards whose serving worker caught a panic (quarantined).
+    /// Shards whose op serving caught a panic (quarantined).
     panicked: Mutex<BTreeSet<usize>>,
     queue_depth: usize,
 }
 
 impl Demand {
-    /// Enqueues `op` on `shard`'s queue, blocking (with periodic re-checks
-    /// of shutdown and shard health) while the queue is at its bound.
-    /// The depth gauge is incremented under the queue lock, so it can
-    /// never drift from the queue's true occupancy. `Panic` ops bypass the
+    /// Enqueues `op` on `shard`'s queue, blocking (with re-checks of
+    /// shutdown and shard health on every wake) while the queue is at its
+    /// bound. The depth gauge moves under the queue lock, so it can never
+    /// drift from the queue's true occupancy. `Panic` ops bypass the
     /// bound and the gauge — chaos must land even on a saturated shard.
+    /// The caller must try the claim afterwards ([`with_claim`]) so its
+    /// op cannot sit unserved.
     fn enqueue(
         &self,
         shard: usize,
@@ -307,55 +261,24 @@ impl Demand {
             if !counted || ops.len() < self.queue_depth {
                 break;
             }
-            // Saturated: make sure a pool worker is coming to drain (the
-            // combining clients ahead of us may all be blocked right here
-            // too), then wait for the pop.
-            self.notify_parked();
-            let (guard, _) = q
-                .not_full
-                .wait_timeout(ops, Duration::from_millis(1))
-                .unwrap_or_else(|e| e.into_inner());
-            ops = guard;
+            // Saturated: a full queue has a claim holder draining it (every
+            // enqueuer drains after its push), and each of its pops — or
+            // shutdown closing the door — signals this condvar.
+            ops = q.not_full.wait(ops).unwrap_or_else(|e| e.into_inner());
         }
         ops.push_back(op);
         q.len.fetch_add(1, Ordering::SeqCst);
         if counted {
             reg.depth(shard).inc();
         }
-        drop(ops);
-        self.pending.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
-    /// Wakes a parked pool worker if there is one. Callers that will NOT
-    /// combine (drain the queue themselves) after an enqueue must call
-    /// this, or their op waits out a worker park timeout. The SeqCst pair
-    /// with the park protocol closes the race: a worker announces the
-    /// park (`parked += 1`) *before* re-checking the queues, so either
-    /// this producer observes `parked > 0` and notifies (lock-then-notify,
-    /// so the signal cannot fall between the worker's re-check and its
-    /// wait), or the worker's re-check observes the producer's `len`
-    /// increment and never parks. Combining producers skip even these two
-    /// atomics' futex half: enqueue itself never signals.
-    fn notify_parked(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            drop(self.idle.lock().unwrap_or_else(|e| e.into_inner()));
-            self.wake.notify_one();
-        }
-    }
-
-    /// True when some shard has queued ops and no worker owns its claim —
-    /// i.e. a sweeping worker would find work right now.
-    fn claimable(&self) -> bool {
-        self.queues
-            .iter()
-            .any(|q| q.len.load(Ordering::SeqCst) > 0 && !q.claimed.load(Ordering::SeqCst))
-    }
-
-    /// Pops up to [`BATCH`] ops from `shard`'s queue. `Panic` ops ride in
-    /// a packet of their own: the panic protocol (drop the session, maybe
-    /// poison the mutex) must not share a session with real ops.
-    fn pop_batch(&self, shard: usize) -> Vec<Op> {
+    /// Pops up to [`BATCH`] ops from `shard`'s queue, moving the depth
+    /// gauge and histogram for each. `Panic` ops ride in a packet of their
+    /// own: the panic protocol (drop the session, maybe poison the mutex)
+    /// must not share a session with real ops.
+    fn pop_batch(&self, shard: usize, reg: &TelemetryRegistry) -> Vec<Op> {
         let q = &self.queues[shard];
         if q.len.load(Ordering::SeqCst) == 0 {
             return Vec::new(); // skip the mutex on the empty-queue drain
@@ -371,14 +294,15 @@ impl Demand {
                     }
                     break;
                 }
-                Some(_) => batch.push(ops.pop_front().expect("front exists")),
+                Some(_) => {
+                    batch.push(ops.pop_front().expect("front exists"));
+                    reg.queue_depth_hist.record(reg.depth(shard).dec());
+                }
             }
         }
         drop(ops);
         if !batch.is_empty() {
             q.len.fetch_sub(batch.len(), Ordering::SeqCst);
-            self.pending
-                .fetch_sub(batch.len() as u64, Ordering::Release);
             q.not_full.notify_all();
         }
         batch
@@ -387,8 +311,8 @@ impl Demand {
 
 std::thread_local! {
     /// Per-thread preallocated completion slot: a client blocks on its
-    /// own slot until the worker answers, so one reusable slot per thread
-    /// replaces a per-request channel allocation. (Writes complete at
+    /// own slot until the claim holder answers, so one reusable slot per
+    /// thread replaces a per-request channel allocation. (Writes complete at
     /// acceptance and need no slot at all.)
     static READ_SLOT: Arc<CompletionSlot<Result<LineData, ServiceError>>> = CompletionSlot::new();
 }
@@ -402,7 +326,7 @@ pub struct ServiceReport {
     pub stats: CacheStats,
     /// Per-shard cache counters.
     pub per_shard: Vec<CacheStats>,
-    /// Service-level latency/queue-depth histograms (workers + daemon).
+    /// Service-level latency/queue-depth histograms (demand + daemon).
     pub hists: ServiceHistograms,
     /// Recovery-ladder histograms harvested from every shard recorder.
     pub recovery_hists: RecoveryHistograms,
@@ -430,11 +354,11 @@ pub struct ServiceReport {
     pub escalated_lines: u64,
     /// Lines still unresolved after escalation (scrub-detected DUEs).
     pub unresolved_lines: u64,
-    /// Shards whose serving worker panicked (caught; shard quarantined).
+    /// Shards where serving an op panicked (caught; shard quarantined).
     pub worker_panics: Vec<usize>,
     /// Whether the scrub daemon died to a caught panic.
     pub daemon_panicked: bool,
-    /// Shards quarantined at shutdown (worker panics + poisoned locks).
+    /// Shards quarantined at shutdown (op panics + poisoned locks).
     pub quarantined: Vec<usize>,
     /// Degraded-mode counters: sparing, stuck-cell physics, fail-fasts.
     pub degraded: DegradedStats,
@@ -548,15 +472,16 @@ impl ServiceHandle {
     /// Serves `line` lock-free off the seqlock view when it is verifiably
     /// clean, doing the full per-request telemetry accounting. `None`
     /// means the caller must take the queued path; a hit returns the data
-    /// with the trace ID it was recorded under.
-    fn fast_read(&self, line: u64, shard: usize) -> Option<(LineData, u64)> {
+    /// with the trace ID it was recorded under: `trace` when the caller
+    /// already allocated one, else a fresh ID.
+    fn fast_read(&self, line: u64, shard: usize, trace: Option<u64>) -> Option<(LineData, u64)> {
         if !self.demand.accepting.load(Ordering::Acquire) {
             return None; // shutdown: the queued path reports ShuttingDown
         }
         let service_start = Instant::now();
         let (hit, retries) = self.state.try_read_clean(line);
         let data = hit?;
-        let trace = self.registry.next_trace_id();
+        let trace = trace.unwrap_or_else(|| self.registry.next_trace_id());
         self.registry.reads.inc();
         self.registry.clean_read_lockfree_hits.inc();
         self.registry.seqlock_retries.add(u64::from(retries));
@@ -573,114 +498,16 @@ impl ServiceHandle {
         Some((data, trace))
     }
 
-    /// Serves a read inline on this thread: win `shard`'s claim, drain
-    /// whatever is FIFO-ahead in its queue (write-pending lines settle
-    /// here), then run the locked ladder read directly — no op, no slot,
-    /// no context switch. `None` when another thread holds the claim (the
-    /// caller enqueues behind it). Accounting is identical to the worker
-    /// path, with zero queue wait.
-    fn read_inline(
-        &self,
-        line: u64,
-        shard: usize,
-        trace: u64,
-    ) -> Option<Result<LineData, ServiceError>> {
-        let q = &self.demand.queues[shard];
-        if q.claimed.swap(true, Ordering::Acquire) {
-            return None;
-        }
-        drain_claimed(&self.state, &self.demand, shard, &self.registry);
-        let service_start = Instant::now();
-        let mut h2_ns = 0u64;
-        let mut session = None;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_read(
-                &self.state,
-                shard,
-                line,
-                trace,
-                &mut session,
-                &mut h2_ns,
-                &self.registry,
-            )
-        }));
-        drop(session);
-        let result = match outcome {
-            Ok(result) => {
-                self.registry.reads.inc();
-                if matches!(result, Err(ServiceError::Uncorrectable(_))) {
-                    self.registry.due_reads.inc();
-                }
-                self.registry.note_request(TraceRecord {
-                    trace,
-                    shard: shard as u32,
-                    write: false,
-                    path: TracePath::Inline,
-                    outcome: read_outcome(&result),
-                    queue_wait_ns: 0,
-                    service_ns: service_start.elapsed().as_nanos() as u64,
-                    h2_ns,
-                });
-                result
-            }
-            Err(_) => {
-                fail_shard(&self.state, &self.demand, shard);
-                Err(ServiceError::ShardDown(shard))
-            }
-        };
-        release_claim(&self.state, &self.demand, shard, &self.registry);
-        Some(result)
+    /// Runs `serve` inline under `shard`'s claim (see [`with_claim`]);
+    /// `None` when another thread holds the claim.
+    fn claim<T>(&self, shard: usize, serve: impl FnOnce() -> T) -> Option<T> {
+        with_claim(&self.state, &self.demand, shard, &self.registry, serve)
     }
 
-    /// Serves a write inline on this thread (same protocol as
-    /// [`ServiceHandle::read_inline`]): drain the queue FIFO-ahead, apply
-    /// through a session, release. Returns `false` when the claim is held
-    /// elsewhere — the caller falls back to the fire-and-forget enqueue.
-    fn write_inline(&self, line: u64, shard: usize, trace: u64, data: &LineData) -> bool {
-        let q = &self.demand.queues[shard];
-        if q.claimed.swap(true, Ordering::Acquire) {
-            return false;
-        }
-        drain_claimed(&self.state, &self.demand, shard, &self.registry);
-        let service_start = Instant::now();
-        let mut session = None;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_write(&self.state, shard, line, trace, data, &mut session)
-        }));
-        drop(session);
-        match outcome {
-            Ok(result) => {
-                match &result {
-                    Ok(()) => self.registry.writes.inc(),
-                    Err(_) => self.registry.failed_writes.inc(),
-                }
-                self.registry.note_request(TraceRecord {
-                    trace,
-                    shard: shard as u32,
-                    write: true,
-                    path: TracePath::Inline,
-                    outcome: if result.is_ok() {
-                        TraceOutcome::Ok
-                    } else {
-                        TraceOutcome::Error
-                    },
-                    queue_wait_ns: 0,
-                    service_ns: service_start.elapsed().as_nanos() as u64,
-                    h2_ns: 0,
-                });
-            }
-            Err(_) => {
-                fail_shard(&self.state, &self.demand, shard);
-                self.registry.failed_writes.inc();
-            }
-        }
-        release_claim(&self.state, &self.demand, shard, &self.registry);
-        true
-    }
-
-    /// Enqueues a write for `line`'s shard (blocking on a full queue) and
-    /// returns as soon as it is **accepted** — the worker applies it
-    /// asynchronously. Acceptance marks the line write-pending in the
+    /// Writes `line`, inline under the shard's claim when it is free, and
+    /// otherwise enqueues it (blocking on a full queue) and returns as soon
+    /// as it is **accepted** — whichever thread next holds the claim
+    /// applies it. Acceptance marks the line write-pending in the
     /// lock-free view, so every subsequent read of the line (from this or
     /// any other thread that learned of the write) takes the shard queue's
     /// FIFO path *behind* the write: fire-and-forget stays
@@ -728,7 +555,20 @@ impl ServiceHandle {
         // would open a pending window that knocks every reader of this
         // line off the lock-free view.
         for attempt in 0..=CLAIM_RETRIES {
-            if self.write_inline(line, shard, trace, data) {
+            let inline = self.claim(shard, || {
+                serve_write(
+                    &self.state,
+                    &self.demand,
+                    shard,
+                    line,
+                    trace,
+                    data,
+                    Via::Inline,
+                    &mut None,
+                    &self.registry,
+                );
+            });
+            if inline.is_some() {
                 return (Some(trace), Ok(()));
             }
             if attempt < CLAIM_RETRIES {
@@ -752,53 +592,11 @@ impl ServiceHandle {
             self.state.retire_write(line);
             return (Some(trace), accepted);
         }
-        // Flat-combining assist: try to drain the shard queue (our write
-        // included) right here. On a small machine this applies the write
-        // without a single context switch; losing the claim race is fine —
-        // the holder's drain covers our op.
-        claim_and_drain(&self.state, &self.demand, shard, &self.registry);
+        // Flat-combining: try to drain the shard queue (our write
+        // included) right here. Losing the claim race is fine — the
+        // holder's drain and release re-check cover our op.
+        self.claim(shard, || ());
         (Some(trace), accepted)
-    }
-
-    /// Reads `line`, preferring the lock-free clean path; a view miss
-    /// enqueues the read whose reply goes to `reply` (a caller-owned
-    /// channel, so a client thread can keep several reads in flight). On
-    /// a lock-free hit the reply is delivered before this returns.
-    ///
-    /// # Errors
-    ///
-    /// Same acceptance errors as [`ServiceHandle::write`]; on `Err` no
-    /// reply will arrive for this request.
-    pub fn read_to(&self, line: u64, reply: &Sender<ReadReply>) -> Result<(), ServiceError> {
-        let shard = self.plan.shard_of_line(line);
-        if let Some((data, trace)) = self.fast_read(line, shard) {
-            let _ = reply.send(ReadReply {
-                line,
-                trace,
-                result: Ok(data),
-            });
-            return Ok(());
-        }
-        if !self.state.health().is_up(shard) {
-            self.state.note_reject();
-            return Err(ServiceError::ShardDown(shard));
-        }
-        let trace = self.registry.next_trace_id();
-        self.demand.enqueue(
-            shard,
-            Op::Read {
-                line,
-                trace,
-                enqueued: Instant::now(),
-                dest: ReadDest::Channel(reply.clone()),
-            },
-            &self.state,
-            &self.registry,
-        )?;
-        // Flat-combining assist: drain the shard queue ourselves if the
-        // claim is free — the reply (ours included) is sent inline.
-        claim_and_drain(&self.state, &self.demand, shard, &self.registry);
-        Ok(())
     }
 
     /// Blocking read: lock-free off the seqlock view when the line is
@@ -809,8 +607,8 @@ impl ServiceHandle {
     ///
     /// [`ServiceError::Uncorrectable`] when even cross-shard recovery
     /// failed (DUE), [`ServiceError::ShardDown`] when the owning shard is
-    /// quarantined (including mid-flight: a request stranded by a worker
-    /// panic reports the shard, never a panic or a hang), and
+    /// quarantined (including mid-flight: a request stranded by a panic
+    /// on its shard reports the shard, never a panic or a hang), and
     /// [`ServiceError::ShuttingDown`] when the service is gone.
     pub fn read(&self, line: u64) -> Result<LineData, ServiceError> {
         self.read_traced(line).1
@@ -825,7 +623,7 @@ impl ServiceHandle {
     /// Same as [`ServiceHandle::read`].
     pub fn read_traced(&self, line: u64) -> (Option<u64>, Result<LineData, ServiceError>) {
         let shard = self.plan.shard_of_line(line);
-        if let Some((data, trace)) = self.fast_read(line, shard) {
+        if let Some((data, trace)) = self.fast_read(line, shard, None) {
             return (Some(trace), Ok(data));
         }
         if !self.state.health().is_up(shard) {
@@ -843,12 +641,25 @@ impl ServiceHandle {
         // drains anything queued meanwhile, often republishing our line
         // clean, so the lock-free view is worth re-probing each round.
         for attempt in 0..=CLAIM_RETRIES {
-            if let Some(result) = self.read_inline(line, shard, trace) {
+            let inline = self.claim(shard, || {
+                serve_read(
+                    &self.state,
+                    &self.demand,
+                    shard,
+                    line,
+                    trace,
+                    Via::Inline,
+                    &mut None,
+                    &self.registry,
+                )
+                .unwrap_or(Err(ServiceError::ShardDown(shard)))
+            });
+            if let Some(result) = inline {
                 return (Some(trace), result);
             }
             if attempt < CLAIM_RETRIES {
                 thread::yield_now();
-                if let Some((data, trace)) = self.fast_read(line, shard) {
+                if let Some((data, _)) = self.fast_read(line, shard, Some(trace)) {
                     return (Some(trace), Ok(data));
                 }
             }
@@ -860,25 +671,28 @@ impl ServiceHandle {
                     line,
                     trace,
                     enqueued: Instant::now(),
-                    dest: ReadDest::Slot(slot.arm()),
+                    reply: slot.arm(),
                 },
                 &self.state,
                 &self.registry,
             )?;
-            // Flat-combining assist: winning the claim serves our own op
-            // (and everything FIFO-ahead of it, write-pending lines
-            // included) on this thread, filling the slot before the wait
-            // even starts — zero context switches on the miss path.
-            claim_and_drain(&self.state, &self.demand, shard, &self.registry);
+            // Flat-combining: winning the claim serves our own op (and
+            // everything FIFO-ahead of it, write-pending lines included)
+            // on this thread, filling the slot before the wait even starts
+            // — zero context switches on the miss path.
+            self.claim(shard, || ());
             slot.wait()
                 .unwrap_or_else(|| Err(self.disconnect_error(shard)))
         });
         (Some(trace), result)
     }
 
-    /// Chaos hook: the worker serving `shard` panics on purpose when it
-    /// pops this op — with `hold_lock`, while holding the shard's state
-    /// mutex, poisoning it exactly like an organic mid-repair panic.
+    /// Chaos hook: queues a panic op on `shard`, and whichever thread
+    /// drains it panics on purpose when it pops the op — with `hold_lock`,
+    /// while holding the shard's state mutex, poisoning it exactly like an
+    /// organic mid-repair panic. Like every enqueuer, the caller then
+    /// tries the claim: on a free claim the panic (caught, quarantining
+    /// the shard) happens on the calling thread before this returns.
     ///
     /// # Errors
     ///
@@ -886,9 +700,7 @@ impl ServiceHandle {
     pub fn inject_worker_panic(&self, shard: usize, hold_lock: bool) -> Result<(), ServiceError> {
         self.demand
             .enqueue(shard, Op::Panic { hold_lock }, &self.state, &self.registry)?;
-        // No combining here — the chaos op should land on whichever pool
-        // worker (or combining client) claims the shard next, so wake one.
-        self.demand.notify_parked();
+        self.claim(shard, || ());
         Ok(())
     }
 
@@ -956,7 +768,6 @@ pub struct Service {
     state: Arc<ShardedCache>,
     demand: Arc<Demand>,
     registry: Arc<TelemetryRegistry>,
-    workers: Vec<JoinHandle<()>>,
     daemon: Option<JoinHandle<bool>>,
     stop: Arc<AtomicBool>,
     daemon_panic: Arc<AtomicBool>,
@@ -971,7 +782,10 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts the worker pool (and the scrub daemon, when configured).
+    /// Starts the service: the scrub daemon (when configured), the audit
+    /// watchdog, and, with [`ServiceConfig::telemetry`], the sampler and
+    /// the scrape endpoint. Demand ops are served by the client threads
+    /// themselves, under each shard's claim.
     ///
     /// # Errors
     ///
@@ -987,7 +801,7 @@ impl Service {
         )?);
         // The spatial reliability plane: one heatmap bundle over a
         // shard × region grid, tapped by every shard recorder. Attached
-        // before the workers spawn so no repair escapes attribution.
+        // before any handle exists so no repair escapes attribution.
         let heatmaps = {
             let plan = *state.plan();
             let geom = RegionGeometry::new(
@@ -1002,23 +816,10 @@ impl Service {
         let registry = Arc::new(TelemetryRegistry::new(config.n_shards));
         let demand = Arc::new(Demand {
             queues: (0..config.n_shards).map(|_| ShardQueue::new()).collect(),
-            pending: AtomicU64::new(0),
             accepting: AtomicBool::new(true),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            parked: AtomicUsize::new(0),
             panicked: Mutex::new(BTreeSet::new()),
             queue_depth: config.queue_depth.max(1),
         });
-        let mut workers = Vec::with_capacity(config.n_shards);
-        for home in 0..config.n_shards {
-            let state = Arc::clone(&state);
-            let demand = Arc::clone(&demand);
-            let registry = Arc::clone(&registry);
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&state, &demand, home, &registry);
-            }));
-        }
         let stop = Arc::new(AtomicBool::new(false));
         let daemon_panic = Arc::new(AtomicBool::new(false));
         let daemon_stall_us = Arc::new(AtomicU64::new(0));
@@ -1103,7 +904,6 @@ impl Service {
             state,
             demand,
             registry,
-            workers,
             daemon,
             stop,
             daemon_panic,
@@ -1135,7 +935,8 @@ impl Service {
         &self.state
     }
 
-    /// The live metrics registry every worker and the daemon publish into.
+    /// The live metrics registry every claim holder and the daemon publish
+    /// into.
     pub fn registry(&self) -> &Arc<TelemetryRegistry> {
         &self.registry
     }
@@ -1174,12 +975,12 @@ impl Service {
     }
 
     /// Graceful drain and shutdown: stops the scrub daemon, closes
-    /// acceptance, joins the worker pool (workers exit only once every
-    /// queue is verifiably empty), then the telemetry plane (sampler last,
-    /// so the flight recorder's final snapshot sees the quiesced system),
-    /// and assembles the end-of-run report. Every op accepted before the
-    /// call is fully served by live shards; ops stranded on dead shards
-    /// produce error replies, never hangs.
+    /// acceptance, drains every shard on the calling thread until its
+    /// queue is verifiably empty, then retires the telemetry plane
+    /// (sampler last, so the flight recorder's final snapshot sees the
+    /// quiesced system) and assembles the end-of-run report. Every op
+    /// accepted before the call is fully served by live shards; ops
+    /// stranded on dead shards produce error replies, never hangs.
     ///
     /// Never panics: dead shards and a dead daemon are reported in
     /// [`ServiceReport::worker_panics`] / [`ServiceReport::daemon_panicked`],
@@ -1196,21 +997,22 @@ impl Service {
                 Err(_) => daemon_panicked = true,
             }
         }
-        // 2. Drain: close acceptance, wake every parked worker and blocked
-        //    producer, and join the pool. Workers only exit after seeing
-        //    every queue empty with acceptance closed (checked under each
-        //    queue's lock), so nothing accepted is left unserved.
+        // 2. Drain: close acceptance, then per shard wake the producers
+        //    blocked on its bound (they see the closed door and return
+        //    ShuttingDown) and serve its leftovers here. With acceptance
+        //    closed before each queue lock is taken, a queue seen empty
+        //    under its lock by the claim holder stays empty, so nothing
+        //    accepted is left unserved; a claim held elsewhere is yielded
+        //    to until its holder finishes.
         self.demand.accepting.store(false, Ordering::SeqCst);
-        {
-            let _guard = self.demand.idle.lock().unwrap_or_else(|e| e.into_inner());
-            self.demand.wake.notify_all();
-        }
-        for q in &self.demand.queues {
-            let _guard = q.ops.lock().unwrap_or_else(|e| e.into_inner());
+        for (shard, q) in self.demand.queues.iter().enumerate() {
+            let lock = || q.ops.lock().unwrap_or_else(|e| e.into_inner());
+            drop(lock());
             q.not_full.notify_all();
-        }
-        for worker in self.workers {
-            let _ = worker.join();
+            let (state, reg) = (&self.state, &self.registry);
+            while with_claim(state, &self.demand, shard, reg, || lock().is_empty()) != Some(true) {
+                thread::yield_now();
+            }
         }
         let worker_panics: Vec<usize> = self
             .demand
@@ -1307,47 +1109,38 @@ fn sampler_loop(
     }
 }
 
-/// Claims `shard` and drains its queue in whole work packets on the
-/// *calling* thread, returning the number of ops served (0 when another
-/// thread already owns the claim). This is the single drain primitive
-/// shared by the pool workers and the flat-combining clients: whoever
-/// wins the claim serves — repairs stay serialized per shard either way,
-/// because the claim admits one drainer at a time and the shard session
-/// mutex covers the state itself.
-///
-/// After releasing the claim, the queue length is re-checked and the
-/// claim re-taken if a producer pushed in the release window — producers
-/// that lost the claim race rely on the holder to serve what they pushed.
-fn claim_and_drain(
+/// Claims `shard` and, when the claim was free, drains its queue in whole
+/// work packets on the *calling* thread, runs `serve` (the caller's own
+/// op, FIFO-behind everything just drained), and releases. `None` when
+/// another thread holds the claim: its drain and release re-check cover
+/// anything the caller queued. This is the only way queued ops get
+/// served — repairs stay serialized per shard because the claim admits
+/// one drainer at a time and the shard session mutex covers the state.
+fn with_claim<T>(
     state: &ShardedCache,
     demand: &Demand,
     shard: usize,
     reg: &TelemetryRegistry,
-) -> u64 {
-    let q = &demand.queues[shard];
+    serve: impl FnOnce() -> T,
+) -> Option<T> {
     // SeqCst, pairing with the SeqCst store in `release_claim`: see there.
-    if q.claimed.swap(true, Ordering::SeqCst) {
-        return 0; // another thread owns this shard right now
+    if demand.queues[shard].claimed.swap(true, Ordering::SeqCst) {
+        return None;
     }
-    let served = drain_claimed(state, demand, shard, reg);
-    served + release_claim(state, demand, shard, reg)
+    drain_claimed(state, demand, shard, reg);
+    let out = serve();
+    release_claim(state, demand, shard, reg);
+    Some(out)
 }
 
-/// Drains `shard`'s queue in whole work packets until it is empty,
-/// returning the number of ops served. The caller must hold the claim.
-fn drain_claimed(
-    state: &ShardedCache,
-    demand: &Demand,
-    shard: usize,
-    reg: &TelemetryRegistry,
-) -> u64 {
-    let mut served = 0u64;
+/// Drains `shard`'s queue in whole work packets until it is empty. The
+/// caller must hold the claim.
+fn drain_claimed(state: &ShardedCache, demand: &Demand, shard: usize, reg: &TelemetryRegistry) {
     loop {
-        let batch = demand.pop_batch(shard);
+        let batch = demand.pop_batch(shard, reg);
         if batch.is_empty() {
-            return served;
+            return;
         }
-        served += batch.len() as u64;
         if state.health().is_up(shard) {
             serve_packet(state, demand, shard, batch, reg);
         } else {
@@ -1362,99 +1155,25 @@ fn drain_claimed(
 /// Releases the claim on `shard`, closing the push-after-empty-pop race:
 /// an op pushed between the holder's last empty pop and the release saw
 /// the shard claimed and counts on the holder to serve it. Reclaim and
-/// drain again (or leave it to whoever beat us to the reclaim). Returns
-/// the number of ops served by the recheck drains.
-fn release_claim(
-    state: &ShardedCache,
-    demand: &Demand,
-    shard: usize,
-    reg: &TelemetryRegistry,
-) -> u64 {
+/// drain again (or leave it to whoever beat us to the reclaim).
+fn release_claim(state: &ShardedCache, demand: &Demand, shard: usize, reg: &TelemetryRegistry) {
     let q = &demand.queues[shard];
-    let mut served = 0u64;
     loop {
         // Store-buffering pair with the enqueuer, which increments `len`
-        // and then swaps `claimed` in `claim_and_drain`: all four accesses
-        // are SeqCst, so in their single total order either our `len`
-        // load sees the push or the enqueuer's swap sees this release.
-        // With a Release store here, both could read the stale value and
-        // strand the op with nobody draining it.
+        // and then swaps `claimed` in `with_claim`: all four accesses are
+        // SeqCst, so in their single total order either our `len` load
+        // sees the push or the enqueuer's swap sees this release. With a
+        // Release store here, both could read the stale value and strand
+        // the op with nobody draining it.
         q.claimed.store(false, Ordering::SeqCst);
         if q.len.load(Ordering::SeqCst) == 0 || q.claimed.swap(true, Ordering::SeqCst) {
-            return served;
+            return;
         }
-        served += drain_claimed(state, demand, shard, reg);
+        drain_claimed(state, demand, shard, reg);
     }
 }
 
-/// One pool worker: sweeps the shard queues starting from its home shard,
-/// claims one shard at a time (keeping repairs serialized per shard), and
-/// serves whole work packets until the service stops accepting and every
-/// queue is verifiably empty. Under load the clients themselves drain the
-/// queues they enqueue on (see [`claim_and_drain`] callers in
-/// [`ServiceHandle`]); the pool is the backstop that guarantees progress
-/// for ops nobody combines — panic injections, ops stranded by a client
-/// that lost the claim race, and the shutdown drain.
-fn worker_loop(state: &ShardedCache, demand: &Demand, home: usize, reg: &TelemetryRegistry) {
-    let n = demand.queues.len();
-    loop {
-        let mut served_any = false;
-        for i in 0..n {
-            let shard = (home + i) % n;
-            served_any |= claim_and_drain(state, demand, shard, reg) > 0;
-        }
-        if served_any {
-            continue;
-        }
-        // Nothing anywhere: park until an enqueue lands on an *unclaimed*
-        // shard, or exit once the service stops accepting AND every queue
-        // is verifiably empty. The park is announced (`parked += 1`)
-        // before the re-check, pairing with the producers' SeqCst
-        // `len`-then-`parked` order: an op pushed before a producer saw
-        // `parked == 0` is visible to `claimable()` below, and an op
-        // pushed after it observes our announcement and notifies under
-        // the same `idle` lock we hold until the wait begins. Work owned
-        // by another worker's claim is deliberately NOT a wake condition:
-        // the claim holder drains it, and parking here instead of
-        // yield-spinning is what keeps surplus workers off the scheduler
-        // on small machines.
-        let guard = demand.idle.lock().unwrap_or_else(|e| e.into_inner());
-        demand.parked.fetch_add(1, Ordering::SeqCst);
-        if demand.claimable() {
-            // An op landed mid-sweep on a shard nobody owns: re-sweep.
-            demand.parked.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
-            continue;
-        }
-        if !demand.accepting.load(Ordering::Acquire) {
-            demand.parked.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
-            // `accepting` was observed false before taking each queue lock
-            // below, so any producer that locks a queue after this check
-            // must also observe it false and bail: an empty sweep here is
-            // conclusive — no op can arrive behind our back.
-            let all_empty = demand
-                .queues
-                .iter()
-                .all(|q| q.ops.lock().unwrap_or_else(|e| e.into_inner()).is_empty());
-            if all_empty {
-                return;
-            }
-            // Another worker's claim still covers the leftovers; give it
-            // the core rather than re-sweeping hot.
-            std::thread::yield_now();
-        } else {
-            let (guard, _) = demand
-                .wake
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap_or_else(|e| e.into_inner());
-            demand.parked.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
-        }
-    }
-}
-
-/// Quarantines `shard` after a caught worker panic and records it for the
+/// Quarantines `shard` after a caught panic and records it for the
 /// end-of-run report.
 fn fail_shard(state: &ShardedCache, demand: &Demand, shard: usize) {
     state.health().quarantine(shard);
@@ -1466,22 +1185,16 @@ fn fail_shard(state: &ShardedCache, demand: &Demand, shard: usize) {
 }
 
 /// Error-completes a stranded op (queued behind a panic, or drained off a
-/// dead shard's queue), undoing its depth accounting. The client gets
-/// [`ServiceError::ShardDown`], never a hang.
+/// dead shard's queue). The client gets [`ServiceError::ShardDown`], never
+/// a hang.
 fn complete_shard_down(op: Op, shard: usize, state: &ShardedCache, reg: &TelemetryRegistry) {
     match op {
         Op::Panic { .. } => {}
-        Op::Read {
-            line, trace, dest, ..
-        } => {
-            let d = reg.depth(shard).dec();
-            reg.queue_depth_hist.record(d);
+        Op::Read { reply, .. } => {
             state.note_reject();
-            dest.complete(line, trace, Err(ServiceError::ShardDown(shard)));
+            reply.complete(Err(ServiceError::ShardDown(shard)));
         }
         Op::Write { line, .. } => {
-            let d = reg.depth(shard).dec();
-            reg.queue_depth_hist.record(d);
             state.note_reject();
             // The accepted write will never be applied: surface it in the
             // failed-write counter and re-arm the line's lock-free view.
@@ -1491,59 +1204,157 @@ fn complete_shard_down(op: Op, shard: usize, state: &ShardedCache, reg: &Telemet
     }
 }
 
-/// Reads `line` through the packet's shard session (opened lazily, so an
-/// all-write packet after an escalation doesn't reacquire for nothing).
-/// A local ladder failure drops the session *before* escalating — the
-/// cross-shard coordinator acquires every shard mutex in ascending order.
-fn serve_read<'a>(
-    state: &'a ShardedCache,
-    shard: usize,
-    line: u64,
-    trace: u64,
-    session: &mut Option<ShardSession<'a>>,
-    h2_ns: &mut u64,
-    reg: &TelemetryRegistry,
-) -> Result<LineData, ServiceError> {
-    let live = match session {
-        Some(live) => live,
-        None => session.insert(state.session(shard)?),
-    };
-    // Any recovery the ladder runs for this read is stamped with the
-    // request's trace ID — /traces.json ties a slow read to the exact
-    // RecoveryEvents it caused.
-    live.set_trace(trace);
-    match live.read(line) {
-        Err(ServiceError::Uncorrectable(_)) => {
-            reg.escalated_reads.inc();
-            *session = None;
-            let h2_start = Instant::now();
-            let fetched = state.escalate_fetch(line, trace);
-            *h2_ns = h2_start.elapsed().as_nanos() as u64;
-            reg.h2_gather_ns.record(*h2_ns);
-            fetched
+/// How an op reached its serve routine.
+#[derive(Clone, Copy)]
+enum Via {
+    /// The client's own op, on its own thread under the claim it just
+    /// won: no queue wait.
+    Inline,
+    /// Popped off the shard queue; the op was enqueued at this instant.
+    Queued(Instant),
+}
+
+impl Via {
+    /// The trace path and the queue wait up to `service_start`, in ns.
+    fn path_and_wait(self, service_start: Instant) -> (TracePath, u64) {
+        match self {
+            Via::Inline => (TracePath::Inline, 0),
+            Via::Queued(enqueued) => (
+                TracePath::Queued,
+                service_start.duration_since(enqueued).as_nanos() as u64,
+            ),
         }
-        other => other,
     }
 }
 
-/// Writes `data` to `line` through the packet's shard session.
+/// Opens `shard`'s session on first use, so one is shared across a packet
+/// and an all-write packet after an escalation doesn't reacquire for
+/// nothing.
+fn open_session<'s, 'a>(
+    state: &'a ShardedCache,
+    shard: usize,
+    session: &'s mut Option<ShardSession<'a>>,
+) -> Result<&'s mut ShardSession<'a>, ServiceError> {
+    match session {
+        Some(live) => Ok(live),
+        None => Ok(session.insert(state.session(shard)?)),
+    }
+}
+
+/// Serves one read of `line` on `shard` — the caller's own op inline, or
+/// a queued one inside a packet — with its counters and trace record.
+/// A local ladder failure drops the session *before* escalating, since
+/// the cross-shard coordinator acquires every shard mutex in ascending
+/// order. `None` means the op panicked: the shard is already failed, and
+/// the caller answers [`ServiceError::ShardDown`].
+#[allow(clippy::too_many_arguments)] // private; the op plus its serving context
+fn serve_read<'a>(
+    state: &'a ShardedCache,
+    demand: &Demand,
+    shard: usize,
+    line: u64,
+    trace: u64,
+    via: Via,
+    session: &mut Option<ShardSession<'a>>,
+    reg: &TelemetryRegistry,
+) -> Option<Result<LineData, ServiceError>> {
+    let service_start = Instant::now();
+    let (path, queue_wait_ns) = via.path_and_wait(service_start);
+    let mut h2_ns = 0u64;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let live = open_session(state, shard, session)?;
+        // Any recovery the ladder runs for this read is stamped with the
+        // request's trace ID — /traces.json ties a slow read to the exact
+        // RecoveryEvents it caused.
+        live.set_trace(trace);
+        match live.read(line) {
+            Err(ServiceError::Uncorrectable(_)) => {
+                reg.escalated_reads.inc();
+                *session = None;
+                let h2_start = Instant::now();
+                let fetched = state.escalate_fetch(line, trace);
+                h2_ns = h2_start.elapsed().as_nanos() as u64;
+                reg.h2_gather_ns.record(h2_ns);
+                fetched
+            }
+            other => other,
+        }
+    }));
+    let Ok(result) = outcome else {
+        fail_shard(state, demand, shard);
+        return None;
+    };
+    reg.reads.inc();
+    if matches!(result, Err(ServiceError::Uncorrectable(_))) {
+        reg.due_reads.inc();
+    }
+    reg.note_request(TraceRecord {
+        trace,
+        shard: shard as u32,
+        write: false,
+        path,
+        outcome: read_outcome(&result),
+        queue_wait_ns,
+        service_ns: service_start.elapsed().as_nanos() as u64,
+        h2_ns,
+    });
+    Some(result)
+}
+
+/// Serves one write of `data` to `line` on `shard`, inline or queued, with
+/// its counters and trace record. A queued write retires its pending mark
+/// *after* the apply-and-republish (or on the way to the teardown): only
+/// then is the view authoritative for the line again. Returns `false`
+/// when the op panicked (the shard is already failed).
+#[allow(clippy::too_many_arguments)] // private; the op plus its serving context
 fn serve_write<'a>(
     state: &'a ShardedCache,
+    demand: &Demand,
     shard: usize,
     line: u64,
     trace: u64,
     data: &LineData,
+    via: Via,
     session: &mut Option<ShardSession<'a>>,
-) -> Result<(), ServiceError> {
-    let live = match session {
-        Some(live) => live,
-        None => session.insert(state.session(shard)?),
+    reg: &TelemetryRegistry,
+) -> bool {
+    let service_start = Instant::now();
+    let (path, queue_wait_ns) = via.path_and_wait(service_start);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        open_session(state, shard, session).map(|live| {
+            // Consistency-triggered group recovery under the write carries
+            // the write's trace, same as the read path.
+            live.set_trace(trace);
+            live.write(line, data);
+        })
+    }));
+    if let Via::Queued(_) = via {
+        state.retire_write(line);
+    }
+    let Ok(result) = outcome else {
+        fail_shard(state, demand, shard);
+        reg.failed_writes.inc();
+        return false;
     };
-    // Consistency-triggered group recovery under the write carries the
-    // write's trace, same as the read path.
-    live.set_trace(trace);
-    live.write(line, data);
-    Ok(())
+    match &result {
+        Ok(()) => reg.writes.inc(),
+        Err(_) => reg.failed_writes.inc(),
+    }
+    reg.note_request(TraceRecord {
+        trace,
+        shard: shard as u32,
+        write: true,
+        path,
+        outcome: if result.is_ok() {
+            TraceOutcome::Ok
+        } else {
+            TraceOutcome::Error
+        },
+        queue_wait_ns,
+        service_ns: service_start.elapsed().as_nanos() as u64,
+        h2_ns: 0,
+    });
+    true
 }
 
 /// Serves one work packet against `shard`, holding one [`ShardSession`]
@@ -1567,7 +1378,7 @@ fn serve_packet(
     let mut session: Option<ShardSession<'_>> = None;
     let mut ops = batch.into_iter();
     while let Some(op) = ops.next() {
-        match op {
+        let served = match op {
             Op::Panic { hold_lock } => {
                 // Release the session first: a hold_lock panic re-acquires
                 // the shard mutex itself (and poisons it on unwind).
@@ -1576,52 +1387,19 @@ fn serve_packet(
                     state.chaos_panic(shard, hold_lock);
                 }));
                 fail_shard(state, demand, shard);
-                for rest in ops {
-                    complete_shard_down(rest, shard, state, reg);
-                }
-                return;
+                false
             }
             Op::Read {
                 line,
                 trace,
                 enqueued,
-                dest,
+                reply,
             } => {
-                let d = reg.depth(shard).dec();
-                reg.queue_depth_hist.record(d);
-                let service_start = Instant::now();
-                let queue_wait_ns = service_start.duration_since(enqueued).as_nanos() as u64;
-                let mut h2_ns = 0u64;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    serve_read(state, shard, line, trace, &mut session, &mut h2_ns, reg)
-                }));
-                match outcome {
-                    Ok(result) => {
-                        reg.reads.inc();
-                        if matches!(result, Err(ServiceError::Uncorrectable(_))) {
-                            reg.due_reads.inc();
-                        }
-                        reg.note_request(TraceRecord {
-                            trace,
-                            shard: shard as u32,
-                            write: false,
-                            path: TracePath::Queued,
-                            outcome: read_outcome(&result),
-                            queue_wait_ns,
-                            service_ns: service_start.elapsed().as_nanos() as u64,
-                            h2_ns,
-                        });
-                        dest.complete(line, trace, result);
-                    }
-                    Err(_) => {
-                        fail_shard(state, demand, shard);
-                        dest.complete(line, trace, Err(ServiceError::ShardDown(shard)));
-                        for rest in ops {
-                            complete_shard_down(rest, shard, state, reg);
-                        }
-                        return;
-                    }
-                }
+                let via = Via::Queued(enqueued);
+                let result = serve_read(state, demand, shard, line, trace, via, &mut session, reg);
+                let served = result.is_some();
+                reply.complete(result.unwrap_or(Err(ServiceError::ShardDown(shard))));
+                served
             }
             Op::Write {
                 line,
@@ -1629,48 +1407,25 @@ fn serve_packet(
                 data,
                 enqueued,
             } => {
-                let d = reg.depth(shard).dec();
-                reg.queue_depth_hist.record(d);
-                let service_start = Instant::now();
-                let queue_wait_ns = service_start.duration_since(enqueued).as_nanos() as u64;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    serve_write(state, shard, line, trace, &data, &mut session)
-                }));
-                // Retire *after* the apply-and-republish (or on the way to
-                // the teardown paths below): only then is the view
-                // authoritative for the line again.
-                state.retire_write(line);
-                match outcome {
-                    Ok(result) => {
-                        match &result {
-                            Ok(()) => reg.writes.inc(),
-                            Err(_) => reg.failed_writes.inc(),
-                        }
-                        reg.note_request(TraceRecord {
-                            trace,
-                            shard: shard as u32,
-                            write: true,
-                            path: TracePath::Queued,
-                            outcome: if result.is_ok() {
-                                TraceOutcome::Ok
-                            } else {
-                                TraceOutcome::Error
-                            },
-                            queue_wait_ns,
-                            service_ns: service_start.elapsed().as_nanos() as u64,
-                            h2_ns: 0,
-                        });
-                    }
-                    Err(_) => {
-                        fail_shard(state, demand, shard);
-                        reg.failed_writes.inc();
-                        for rest in ops {
-                            complete_shard_down(rest, shard, state, reg);
-                        }
-                        return;
-                    }
-                }
+                let via = Via::Queued(enqueued);
+                serve_write(
+                    state,
+                    demand,
+                    shard,
+                    line,
+                    trace,
+                    &data,
+                    via,
+                    &mut session,
+                    reg,
+                )
             }
+        };
+        if !served {
+            for rest in ops {
+                complete_shard_down(rest, shard, state, reg);
+            }
+            return;
         }
     }
 }

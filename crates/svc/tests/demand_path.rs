@@ -6,7 +6,7 @@
 //! covered by `determinism.rs`; this file pins the *front-end*: packets,
 //! completion slots, and the seqlock view must add no observable state.)
 //! Plus a torn-read soak proving the seqlock view never serves a
-//! half-written line, and channel-path coverage for `read_to`.
+//! half-written line, and a liveness test of the contended queued path.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,7 +14,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 use sudoku_codes::LineData;
 use sudoku_fault::FaultInjector;
-use sudoku_svc::{ReadReply, Service, ServiceConfig, ShardedCache};
+use sudoku_svc::{Service, ServiceConfig, ShardedCache};
 
 const LINES: u64 = 256;
 
@@ -206,33 +206,6 @@ fn seqlock_view_never_serves_torn_lines() {
         report.lockfree_reads >= 8,
         "fast path never fired: {report:?}"
     );
-}
-
-/// The channel-based `read_to` path (kept for callers that multiplex many
-/// in-flight reads onto one receiver) still resolves every request with
-/// the right data and a live trace ID.
-#[test]
-fn read_to_channel_path_still_serves() {
-    let mut config = ServiceConfig::small(256, 2, 0.0, 17);
-    config.scrub_every = None;
-    let service = Service::start(config).unwrap();
-    let handle = service.handle();
-    for line in 0..256u64 {
-        handle.write(line, &pattern(line)).unwrap();
-    }
-    let (tx, rx) = std::sync::mpsc::channel::<ReadReply>();
-    for line in 0..256u64 {
-        handle.read_to(line, &tx).unwrap();
-    }
-    drop(tx);
-    let mut seen = 0u64;
-    while let Ok(reply) = rx.recv_timeout(Duration::from_secs(5)) {
-        assert_eq!(reply.result.unwrap(), pattern(reply.line));
-        seen += 1;
-    }
-    assert_eq!(seen, 256);
-    let report = service.shutdown();
-    assert_eq!(report.reads, 256);
 }
 
 /// Liveness of the queued path: eight clients contend for one shard with
