@@ -367,8 +367,8 @@ struct ShardControl {
 ///   floor is reported as `floor_clamped` (the telemetry counter the
 ///   watchdog's floor-breach alert keys on).
 /// * **emergency** — a packet that would cross 0.85 of the deadline
-///   (`URGENCY_FRACTION`) before the *next* visit (staleness + achieved period)
-///   overrides everything and goes to the ceiling.
+///   (`URGENCY_FRACTION`) before the *next* visit (staleness + achieved
+///   period) overrides everything and goes to the ceiling.
 /// * **warmup** — until the first full rotation has covered every packet
 ///   once, the quota stays at the ceiling and backpressure does not get
 ///   a vote: the period estimate is still the nominal seed, so trusting

@@ -434,8 +434,9 @@ impl ServiceReport {
 }
 
 /// A cloneable client of a running [`Service`]: serves clean reads
-/// lock-free off the seqlock line view, and routes everything else to the
-/// owning shard's queue, blocking when that queue is full (backpressure).
+/// lock-free off the seqlock line view, and everything else under the
+/// owning shard's claim — inline when it is free, else through the
+/// shard's queue, blocking when that queue is full (backpressure).
 #[derive(Clone)]
 pub struct ServiceHandle {
     plan: ShardPlan,
