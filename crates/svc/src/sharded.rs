@@ -42,15 +42,15 @@
 
 use crate::degraded::{DegradedConfig, DegradedStats, ShardHealth, SpareTable};
 use crate::error::ServiceError;
-use crate::view::{LineView, ViewRead};
+use crate::view::{LineView, ViewRead, ViewStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine};
 use sudoku_core::{
     reassert_stuck, CacheStats, ConfigError, GroupScratch, GroupView, HashDim, LineStore,
-    MemberState, Recorder, RepairEngine, RepairParams, ScrubReport, ShardPlan, SparseStore,
-    SudokuCache, SudokuConfig, UncorrectableError,
+    MemberState, Recorder, RepairEngine, RepairParams, ScrubReport, ShardPlan, SudokuCache,
+    SudokuConfig, UncorrectableError,
 };
 use sudoku_fault::{FaultInjector, StuckBitMap};
 use sudoku_obs::Heatmaps;
@@ -87,15 +87,12 @@ struct ScrubState {
     faulty: BTreeSet<u64>,
     recovered: BTreeMap<u64, ProtectedLine>,
     report: ScrubReport,
-    /// Every line this pass may have mutated — republished into the
-    /// lock-free [`LineView`] before the shard locks drop.
-    touched: BTreeSet<u64>,
 }
 
 /// One shard's cache plus its in-flight recovery state, borrowed out of
 /// the shard mutexes for the duration of a scrub.
 struct Working<'a> {
-    cache: &'a mut SudokuCache<SparseStore>,
+    cache: &'a mut SudokuCache<ViewStore>,
     st: ScrubState,
 }
 
@@ -211,16 +208,19 @@ pub fn merge_reports<'a>(reports: impl IntoIterator<Item = &'a ScrubReport>) -> 
 pub struct ShardedCache {
     plan: ShardPlan,
     config: SudokuConfig,
-    shards: Vec<Mutex<SudokuCache<SparseStore>>>,
+    shards: Vec<Mutex<SudokuCache<ViewStore>>>,
     coord: Mutex<Coordinator>,
     health: ShardHealth,
     extras: Vec<Mutex<ShardExtra>>,
     stuck: StuckBitMap,
     rejects: AtomicU64,
     skipped_h2: AtomicU64,
-    /// Seqlock-stamped mirror of every stored line for lock-free clean
-    /// reads; `None` when the geometry is too large to mirror.
-    view: Option<LineView>,
+    /// Seqlock-stamped copy of every stored line for lock-free clean
+    /// reads; `None` when the geometry is too large for one. Every shard's
+    /// [`ViewStore`] writes through into it, so it equals the stores by
+    /// construction; this handle serves the read side, the pending-write
+    /// gate and sparing invalidations.
+    view: Option<Arc<LineView>>,
     /// The spatial reliability plane, once attached: every recorder emit
     /// taps into its per-(shard, region) grids, and the paths that bump
     /// counters *without* emitting (fault injection, stuck-cell physics,
@@ -264,8 +264,13 @@ impl ShardedCache {
     ) -> Result<Self, ConfigError> {
         let plan = ShardPlan::new(&config, n_shards)?;
         let shard_config = config.with_deferred_hash2();
+        let n_lines = config.geometry.lines();
+        let view = LineView::new(n_lines, n_shards).map(Arc::new);
         let shards = (0..n_shards)
-            .map(|_| SudokuCache::new_sparse(shard_config).map(Mutex::new))
+            .map(|_| {
+                let store = ViewStore::new(n_lines, view.clone());
+                SudokuCache::with_store(shard_config, store).map(Mutex::new)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         let extras = (0..n_shards)
             .map(|_| {
@@ -276,7 +281,6 @@ impl ShardedCache {
                 })
             })
             .collect();
-        let view = LineView::new(config.geometry.lines(), n_shards);
         Ok(ShardedCache {
             plan,
             config,
@@ -364,7 +368,7 @@ impl ShardedCache {
     fn lock_shard(
         &self,
         shard: usize,
-    ) -> Result<MutexGuard<'_, SudokuCache<SparseStore>>, ServiceError> {
+    ) -> Result<MutexGuard<'_, SudokuCache<ViewStore>>, ServiceError> {
         if !self.health.is_up(shard) {
             self.note_reject();
             return Err(ServiceError::ShardDown(shard));
@@ -381,7 +385,7 @@ impl ShardedCache {
     /// Telemetry-path lock: counters and stored lines of a quarantined (or
     /// poison-locked) shard are still worth harvesting — plain `u64`s and
     /// line words cannot be torn by an unwinding panic.
-    fn lock_shard_telemetry(&self, shard: usize) -> MutexGuard<'_, SudokuCache<SparseStore>> {
+    fn lock_shard_telemetry(&self, shard: usize) -> MutexGuard<'_, SudokuCache<ViewStore>> {
         self.shards[shard]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -399,7 +403,7 @@ impl ShardedCache {
 
     /// Reasserts the stuck cells of `line` after a write or repair
     /// write-back, charging the flipped bits to `shard`'s counters.
-    fn reassert_line(&self, cache: &mut SudokuCache<SparseStore>, shard: usize, line: u64) {
+    fn reassert_line(&self, cache: &mut SudokuCache<ViewStore>, shard: usize, line: u64) {
         if self.stuck.is_stuck(line) {
             let changed = reassert_stuck(cache, &self.stuck, line) as u64;
             if changed > 0 {
@@ -413,7 +417,7 @@ impl ShardedCache {
 
     /// Reasserts every stuck line owned by `shard` (the post-scrub physics
     /// step). Returns the number of stored bits flipped back.
-    fn reassert_shard(&self, cache: &mut SudokuCache<SparseStore>, shard: usize) -> u64 {
+    fn reassert_shard(&self, cache: &mut SudokuCache<ViewStore>, shard: usize) -> u64 {
         if self.stuck.is_empty() {
             return 0;
         }
@@ -435,90 +439,11 @@ impl ShardedCache {
         changed
     }
 
-    /// Republishes `line`'s stored state into the lock-free view. Callers
-    /// must hold the owning shard's mutex (the `cache` guard proves it).
-    fn publish_line(&self, cache: &SudokuCache<SparseStore>, line: u64) {
-        if let Some(view) = &self.view {
-            view.publish(line, &cache.stored_line(line));
-        }
-    }
-
-    /// Republishes `line`'s whole Hash-1 group (the lines a shard-local
-    /// group recovery may have rewritten). Same lock requirement as
-    /// [`ShardedCache::publish_line`].
-    fn publish_h1_group(&self, cache: &SudokuCache<SparseStore>, line: u64) {
-        if let Some(view) = &self.view {
-            let hashes = self.plan.hashes();
-            let group = hashes.group_of(HashDim::H1, line);
-            for member in hashes.members(HashDim::H1, group) {
-                view.publish(member, &cache.stored_line(member));
-            }
-        }
-    }
-
     /// Permanently removes `line` from the lock-free view (it was remapped
     /// to a spare slot; the array copy is no longer authoritative).
     fn invalidate_view(&self, line: u64) {
         if let Some(view) = &self.view {
             view.invalidate(line);
-        }
-    }
-
-    /// Adds every Hash-1 sibling of the given lines to the republish set
-    /// (group recovery may rewrite any of them). No-op without a view.
-    fn extend_touched_h1(&self, touched: &mut BTreeSet<u64>, lines: impl Iterator<Item = u64>) {
-        if self.view.is_none() {
-            return;
-        }
-        let hashes = self.plan.hashes();
-        for line in lines {
-            let group = hashes.group_of(HashDim::H1, line);
-            touched.extend(hashes.members(HashDim::H1, group));
-        }
-    }
-
-    /// Adds `shard`'s stuck lines to the republish set: the post-scrub
-    /// reassert rewrites them outside any recovery bookkeeping.
-    fn extend_touched_stuck(&self, touched: &mut BTreeSet<u64>, shard: usize) {
-        if self.view.is_none() || self.stuck.is_empty() {
-            return;
-        }
-        for line in self.stuck.lines() {
-            if self.plan.shard_of_line(line) == shard {
-                touched.insert(line);
-            }
-        }
-    }
-
-    /// Republishes every touched line while the shard guard is held.
-    fn publish_touched(&self, cache: &SudokuCache<SparseStore>, touched: &BTreeSet<u64>) {
-        if let Some(view) = &self.view {
-            for &line in touched {
-                view.publish(line, &cache.stored_line(line));
-            }
-        }
-    }
-
-    /// Adds every Hash-2 sibling of the currently-faulty lines to its
-    /// owning shard's republish set (the coordinator's Hash-2 pass may
-    /// commit repairs into any of them). Only meaningful with every shard
-    /// up — exactly when the Hash-2 pass itself runs.
-    fn distribute_h2_touched(&self, work: &mut [Option<Working<'_>>]) {
-        let hashes = self.plan.hashes();
-        let groups: BTreeSet<u64> = work
-            .iter()
-            .flatten()
-            .flat_map(|w| w.st.faulty.iter())
-            .map(|&l| hashes.group_of(HashDim::H2, l))
-            .collect();
-        let mut members: Vec<u64> = Vec::new();
-        for group in groups {
-            members.extend(hashes.members(HashDim::H2, group));
-        }
-        for line in members {
-            if let Some(w) = work[self.plan.shard_of_line(line)].as_mut() {
-                w.st.touched.insert(line);
-            }
         }
     }
 
@@ -534,8 +459,8 @@ impl ShardedCache {
     }
 
     /// Balances one [`ShardedCache::begin_write`] once the write has been
-    /// applied and republished — or consumed by a teardown path that will
-    /// never apply it. No-op without a view.
+    /// applied — or consumed by a teardown path that will never apply it.
+    /// No-op without a view.
     pub(crate) fn retire_write(&self, line: u64) {
         if let Some(view) = &self.view {
             view.retire_write(line);
@@ -642,11 +567,8 @@ impl ShardedCache {
     /// Flips one stored bit of `line` — a transient fault. Works on
     /// quarantined shards too (faults are physics, not requests).
     pub fn inject_fault(&self, line: u64, bit: usize) {
-        let mut cache = self.lock_shard_telemetry(self.plan.shard_of_line(line));
-        cache.inject_fault(line, bit);
-        // Mirror the corruption into the view: the lock-free path must see
-        // the faulty bits (and miss on the CRC), never stale clean data.
-        self.publish_line(&cache, line);
+        self.lock_shard_telemetry(self.plan.shard_of_line(line))
+            .inject_fault(line, bit);
         if let Some(maps) = self.heatmaps.get() {
             maps.charge_injected(line, 1);
         }
@@ -660,7 +582,6 @@ impl ShardedCache {
             for &pos in positions {
                 shard.inject_fault(*line, pos);
             }
-            self.publish_line(&shard, *line);
             if let Some(maps) = self.heatmaps.get() {
                 maps.charge_injected(*line, positions.len() as u64);
             }
@@ -688,7 +609,6 @@ impl ShardedCache {
                 for &pos in positions {
                     cache.inject_fault(line, pos);
                 }
-                self.publish_line(&cache, line);
                 if let Some(maps) = self.heatmaps.get() {
                     maps.charge_injected(line, positions.len() as u64);
                 }
@@ -815,15 +735,9 @@ impl ShardedCache {
         let all_up = guards.iter().all(Option::is_some);
         let mut work = Self::borrow_working(&mut guards);
         let mut down_report = ScrubReport::default();
-        let mirror = self.view.is_some();
         for &line in hints {
             match work[self.plan.shard_of_line(line)].as_mut() {
-                Some(w) => {
-                    w.st.hints.push(line);
-                    if mirror {
-                        w.st.touched.insert(line);
-                    }
-                }
+                Some(w) => w.st.hints.push(line),
                 None => down_report.unresolved.push(line),
             }
         }
@@ -838,19 +752,6 @@ impl ShardedCache {
                 });
             }
         });
-        // Everything recovery can rewrite from here: Hash-1 siblings of
-        // the post-scan faulty lines, plus (when the cross-shard pass will
-        // run) their Hash-2 groups. The faulty sets only shrink during the
-        // fixpoint, so capturing now over-approximates safely.
-        if mirror {
-            for w in work.iter_mut().flatten() {
-                let faulty: Vec<u64> = w.st.faulty.iter().copied().collect();
-                self.extend_touched_h1(&mut w.st.touched, faulty.into_iter());
-            }
-            if all_up && self.config.scheme.second_hash_enabled() {
-                self.distribute_h2_touched(&mut work);
-            }
-        }
         let coord_report = self.fixpoint(&mut work, all_up);
         for w in work.iter_mut().flatten() {
             w.st.report.unresolved = w.st.faulty.iter().copied().collect();
@@ -862,8 +763,6 @@ impl ShardedCache {
         for (shard, w) in work.iter_mut().enumerate() {
             if let Some(w) = w {
                 self.reassert_shard(w.cache, shard);
-                self.extend_touched_stuck(&mut w.st.touched, shard);
-                self.publish_touched(w.cache, &w.st.touched);
             }
         }
         self.finish_down_lines(&mut down_report);
@@ -891,32 +790,28 @@ impl ShardedCache {
     /// quarantined shard returns an empty report and no leftovers.
     pub fn scrub_shard_local(&self, shard: usize, hints: &[u64]) -> (ScrubReport, Vec<u64>) {
         let mut report = ScrubReport::default();
-        let owned: Vec<u64> = hints
-            .iter()
-            .copied()
-            .filter(|&l| self.plan.shard_of_line(l) == shard && !self.is_spared(shard, l))
-            .collect();
-        let mut touched: BTreeSet<u64> = owned.iter().copied().collect();
         // The bulk scan runs in chunked lock holds (like fault injection):
         // single-bit repairs are per-line atomic, and a demand write that
         // slips between chunks just heals its line before the scan gets
         // there — the recovery fixpoint below re-verifies every survivor.
         let mut faulty = BTreeSet::new();
-        for chunk in owned.chunks(DAEMON_LOCK_CHUNK) {
+        for chunk in hints.chunks(DAEMON_LOCK_CHUNK) {
             let Ok(mut cache) = self.lock_shard(shard) else {
                 return (ScrubReport::default(), Vec::new());
             };
-            faulty.extend(cache.scrub_scan(chunk.iter().copied(), true, &mut report));
-            // Repairs of scanned lines must reach the view before the next
-            // chunk's lock gap, or lock-free reads keep missing on them.
-            self.publish_touched(&cache, &chunk.iter().copied().collect());
+            let lines: Vec<u64> = {
+                let extra = self.lock_extra(shard);
+                chunk
+                    .iter()
+                    .copied()
+                    .filter(|&l| self.plan.shard_of_line(l) == shard && !extra.spares.is_spared(l))
+                    .collect()
+            };
+            faulty.extend(cache.scrub_scan(lines, true, &mut report));
         }
         let Ok(mut cache) = self.lock_shard(shard) else {
             return (ScrubReport::default(), Vec::new());
         };
-        // Group recovery may rewrite any Hash-1 sibling of a faulty line;
-        // capture the groups now (the faulty set only shrinks from here).
-        self.extend_touched_h1(&mut touched, faulty.iter().copied());
         let mut recovered = BTreeMap::new();
         loop {
             if faulty.is_empty() {
@@ -933,8 +828,6 @@ impl ShardedCache {
         // strikes (with the recovered data!) instead of looping forever.
         self.note_undone_reconstructions(shard, &recovered);
         self.reassert_shard(&mut cache, shard);
-        self.extend_touched_stuck(&mut touched, shard);
-        self.publish_touched(&cache, &touched);
         let leftover: Vec<u64> = faulty.into_iter().collect();
         report.unresolved = leftover.clone();
         (report, leftover)
@@ -975,7 +868,6 @@ impl ShardedCache {
             self.lock_coord().recorder.set_trace(trace);
         }
         let mut down_report = ScrubReport::default();
-        let mirror = self.view.is_some();
         for &line in lines {
             let shard = self.plan.shard_of_line(line);
             match work[shard].as_mut() {
@@ -983,10 +875,6 @@ impl ShardedCache {
                 // reads hit the pool, so there is nothing to escalate.
                 Some(w) if !self.is_spared(shard, line) => {
                     w.st.faulty.insert(line);
-                    if mirror {
-                        // The re-verify may repair the seed in place.
-                        w.st.touched.insert(line);
-                    }
                 }
                 Some(_) => {}
                 None => down_report.unresolved.push(line),
@@ -999,15 +887,6 @@ impl ShardedCache {
             let mut faulty = std::mem::take(&mut w.st.faulty);
             w.cache.retain_multibit(&mut faulty, &empty);
             w.st.faulty = faulty;
-        }
-        if mirror {
-            for w in work.iter_mut().flatten() {
-                let faulty: Vec<u64> = w.st.faulty.iter().copied().collect();
-                self.extend_touched_h1(&mut w.st.touched, faulty.into_iter());
-            }
-            if all_up && self.config.scheme.second_hash_enabled() {
-                self.distribute_h2_touched(&mut work);
-            }
         }
         let had_faulty = work.iter().flatten().any(|w| !w.st.faulty.is_empty());
         let coord_report = self.fixpoint(&mut work, all_up);
@@ -1054,8 +933,6 @@ impl ShardedCache {
                         }
                     }
                 }
-                self.extend_touched_stuck(&mut w.st.touched, shard);
-                self.publish_touched(w.cache, &w.st.touched);
             }
         }
         self.finish_down_lines(&mut down_report);
@@ -1125,7 +1002,7 @@ impl ShardedCache {
     /// global lock order, followed by the coordinator — see
     /// [`ShardedCache`]). A quarantined or poison-locked shard yields
     /// `None` (and is quarantined if it was not already).
-    fn lock_up_shards(&self) -> Vec<Option<MutexGuard<'_, SudokuCache<SparseStore>>>> {
+    fn lock_up_shards(&self) -> Vec<Option<MutexGuard<'_, SudokuCache<ViewStore>>>> {
         (0..self.n_shards())
             .map(|s| {
                 if !self.health.is_up(s) {
@@ -1143,7 +1020,7 @@ impl ShardedCache {
     }
 
     fn borrow_working<'a, 'g>(
-        guards: &'a mut [Option<MutexGuard<'g, SudokuCache<SparseStore>>>],
+        guards: &'a mut [Option<MutexGuard<'g, SudokuCache<ViewStore>>>],
     ) -> Vec<Option<Working<'a>>> {
         guards
             .iter_mut()
@@ -1260,7 +1137,7 @@ impl ShardedCache {
 /// locks per op, and cross-shard escalation requires dropping the session
 /// first (it acquires every shard in ascending order).
 pub struct ShardSession<'a> {
-    cache: MutexGuard<'a, SudokuCache<SparseStore>>,
+    cache: MutexGuard<'a, SudokuCache<ViewStore>>,
     owner: &'a ShardedCache,
     shard: usize,
 }
@@ -1285,18 +1162,8 @@ impl ShardSession<'_> {
         if owner.lock_extra(self.shard).spares.write(line, data) {
             return;
         }
-        // A clean old value means the write's consistency pre-check could
-        // not have triggered group recovery: only `line` itself changed.
-        // Otherwise the whole Hash-1 group may have been rewritten under
-        // it. The write itself reports which case ran — no separate
-        // stored-line CRC probe needed.
-        let clean_old = self.cache.write(line, data);
+        self.cache.write(line, data);
         owner.reassert_line(&mut self.cache, self.shard, line);
-        if clean_old {
-            owner.publish_line(&self.cache, line);
-        } else {
-            owner.publish_h1_group(&self.cache, line);
-        }
     }
 
     /// Reads `line` through the shard-local (Hash-1) ladder, exactly like
@@ -1314,15 +1181,8 @@ impl ShardSession<'_> {
                 None => Err(ServiceError::Uncorrectable(UncorrectableError { line })),
             };
         }
-        // A clean stored line (the common case) is read without mutation,
-        // so the view is already in sync and nothing needs republishing.
-        let old = self.cache.stored_line(line);
-        let clean_old = old.is_zero() || LineCodec::shared().crc_ok(&old);
         let result = self.cache.read(line).map_err(ServiceError::from);
         owner.reassert_line(&mut self.cache, self.shard, line);
-        if !clean_old {
-            owner.publish_h1_group(&self.cache, line);
-        }
         result
     }
 }
