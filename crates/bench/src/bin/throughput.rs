@@ -22,7 +22,7 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use sudoku_bench::{flag, header, json_f64_field, Args};
+use sudoku_bench::{flag, git_rev, header, json_f64_field, Args};
 use sudoku_codes::{CrcEngine, LineData, CRC31};
 use sudoku_core::Scheme;
 use sudoku_reliability::montecarlo::{
@@ -49,17 +49,6 @@ fn measure_ns_per_crc() -> f64 {
     }
     black_box(acc);
     start.elapsed().as_nanos() as f64 / ITERS as f64
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 fn main() {
