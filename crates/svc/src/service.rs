@@ -639,7 +639,7 @@ impl ServiceHandle {
         // FIFO-ahead (our line's pending write included) and run the
         // locked ladder read right here — no slot, no wait. On a held
         // claim, yield to the holder and retry: its release re-check
-        // drains anything queued meanwhile, often republishing our line
+        // drains anything queued meanwhile, often rewriting our line
         // clean, so the lock-free view is worth re-probing each round.
         for attempt in 0..=CLAIM_RETRIES {
             let inline = self.claim(shard, || {
@@ -1304,9 +1304,10 @@ fn serve_read<'a>(
 
 /// Serves one write of `data` to `line` on `shard`, inline or queued, with
 /// its counters and trace record. A queued write retires its pending mark
-/// *after* the apply-and-republish (or on the way to the teardown): only
-/// then is the view authoritative for the line again. Returns `false`
-/// when the op panicked (the shard is already failed).
+/// *after* the apply, whose store write publishes the line (or on the way
+/// to the teardown): only then is the view authoritative for the line
+/// again. Returns `false` when the op panicked (the shard is already
+/// failed).
 #[allow(clippy::too_many_arguments)] // private; the op plus its serving context
 fn serve_write<'a>(
     state: &'a ShardedCache,
