@@ -20,7 +20,7 @@ use crate::plt::ParityTable;
 use crate::recovery::{self, GroupScratch, GroupView, MemberState, RepairEngine, RepairParams};
 use crate::stats::{CacheStats, ScrubReport};
 use crate::store::{DenseStore, LineStore, SparseStore};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use sudoku_codes::{LineCodec, LineData, ProtectedLine, ReadCheck, RepairKind};
 use sudoku_obs::{Mechanism, Outcome, Phase, Recorder, RecoveryEvent};
@@ -39,6 +39,16 @@ impl fmt::Display for UncorrectableError {
 }
 
 impl std::error::Error for UncorrectableError {}
+
+/// Normalizes a line list to the form every scrub-path routine takes:
+/// ascending and duplicate-free. Public entry points call this once on
+/// their input; the routines below them rely on the order.
+pub fn sorted_unique(lines: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    let mut lines: Vec<u64> = lines.into_iter().collect();
+    lines.sort_unstable();
+    lines.dedup();
+    lines
+}
 
 /// A SuDoku-protected cache over a pluggable line store.
 ///
@@ -335,8 +345,7 @@ impl<S: LineStore> SudokuCache<S> {
         }
         // Multi-bit old value: run group recovery, then fall back to the
         // RAID-4 erasure estimate if the line is still bad.
-        let mut scratch = ScrubReport::default();
-        let recovered = self.group_recovery([idx].into_iter().collect(), &mut scratch);
+        let recovered = self.recover_one(idx);
         if let Some(line) = recovered.get(&idx) {
             return *line;
         }
@@ -383,8 +392,7 @@ impl<S: LineStore> SudokuCache<S> {
                 if self.recorder.enabled() {
                     self.emit(idx, None, Mechanism::CrcDetect, Outcome::Detected, 0);
                 }
-                let mut scratch = ScrubReport::default();
-                let recovered = self.group_recovery([idx].into_iter().collect(), &mut scratch);
+                let recovered = self.recover_one(idx);
                 if let Some(line) = recovered.get(&idx) {
                     return Ok(line.data);
                 }
@@ -420,17 +428,17 @@ impl<S: LineStore> SudokuCache<S> {
     /// repaired; group recovery handles multi-bit casualties.
     pub fn scrub(&mut self) -> ScrubReport {
         let n = self.store.n_lines();
-        self.scrub_lines_impl((0..n).collect(), true)
+        self.scrub_sorted(0..n, true)
     }
 
-    /// Scrubs only the listed lines plus whatever group recovery pulls in.
+    /// Scrubs only the listed lines (in any order, repeats allowed) plus
+    /// whatever group recovery pulls in.
     ///
     /// Semantically identical to [`SudokuCache::scrub`] whenever `hints`
     /// covers every faulty line — the fast path for sparse Monte-Carlo
     /// campaigns that know exactly where they injected faults.
     pub fn scrub_lines(&mut self, hints: &[u64]) -> ScrubReport {
-        let set: BTreeSet<u64> = hints.iter().copied().collect();
-        self.scrub_lines_impl(set, true)
+        self.scrub_sorted(sorted_unique(hints.iter().copied()), true)
     }
 
     /// Like [`SudokuCache::scrub_lines`] but with the all-zero-line fast
@@ -440,43 +448,35 @@ impl<S: LineStore> SudokuCache<S> {
     /// lines (the `crc_checks` stat counter is the only observable
     /// difference).
     pub fn scrub_lines_reference(&mut self, hints: &[u64]) -> ScrubReport {
-        let set: BTreeSet<u64> = hints.iter().copied().collect();
-        self.scrub_lines_impl(set, false)
+        self.scrub_sorted(sorted_unique(hints.iter().copied()), false)
     }
 
-    fn scrub_lines_impl(&mut self, lines: BTreeSet<u64>, fast: bool) -> ScrubReport {
+    /// Scan, recovery fixpoint and DUE accounting over ascending,
+    /// duplicate-free `lines`.
+    fn scrub_sorted(&mut self, lines: impl IntoIterator<Item = u64>, fast: bool) -> ScrubReport {
         let mut report = ScrubReport::default();
-        let multibit = self.scan_lines(lines, fast, &mut report);
-        report.multibit_lines = multibit.len() as u64;
-        self.group_recovery_impl(multibit, &mut report, fast);
+        let mut faulty = self.scrub_scan(lines, fast, &mut report);
+        let dims = self.dims();
+        self.recover(dims, &mut faulty, &mut BTreeMap::new(), &mut report, fast);
+        report.unresolved = faulty;
         self.finish_scrub(&mut report);
         report
     }
 
     /// The per-line scan half of a scrub: check (and locally repair) every
     /// listed line, returning the multi-bit casualties that need group
-    /// recovery. This is the shard-local phase of a sharded scrub — the
-    /// caller then drives [`SudokuCache::recovery_pass`] /
-    /// [`SudokuCache::finish_scrub`] explicitly.
+    /// recovery. `lines` must be ascending and duplicate-free, and so is
+    /// the returned list. This is the shard-local phase of a sharded scrub
+    /// — the caller then drives [`SudokuCache::recover`] or
+    /// [`SudokuCache::recovery_pass`] and [`SudokuCache::finish_scrub`]
+    /// explicitly.
     pub fn scrub_scan(
         &mut self,
         lines: impl IntoIterator<Item = u64>,
         fast: bool,
         report: &mut ScrubReport,
-    ) -> BTreeSet<u64> {
-        let set: BTreeSet<u64> = lines.into_iter().collect();
-        let multibit = self.scan_lines(set, fast, report);
-        report.multibit_lines += multibit.len() as u64;
-        multibit
-    }
-
-    fn scan_lines(
-        &mut self,
-        lines: BTreeSet<u64>,
-        fast: bool,
-        report: &mut ScrubReport,
-    ) -> BTreeSet<u64> {
-        let mut multibit: BTreeSet<u64> = BTreeSet::new();
+    ) -> Vec<u64> {
+        let mut multibit = Vec::new();
         for idx in lines {
             report.lines_checked += 1;
             self.stats.lines_scrubbed += 1;
@@ -503,10 +503,11 @@ impl<S: LineStore> SudokuCache<S> {
                     if self.recorder.enabled() {
                         self.emit(idx, None, Mechanism::CrcDetect, Outcome::Detected, 0);
                     }
-                    multibit.insert(idx);
+                    multibit.push(idx);
                 }
             }
         }
+        report.multibit_lines += multibit.len() as u64;
         multibit
     }
 
@@ -516,81 +517,37 @@ impl<S: LineStore> SudokuCache<S> {
     pub fn finish_scrub(&mut self, report: &mut ScrubReport) {
         self.stats.due_lines += report.unresolved.len() as u64;
         if self.recorder.enabled() {
-            for i in 0..report.unresolved.len() {
-                self.emit(
-                    report.unresolved[i],
-                    None,
-                    Mechanism::Due,
-                    Outcome::Failed,
-                    0,
-                );
+            for &line in &report.unresolved {
+                self.emit(line, None, Mechanism::Due, Outcome::Failed, 0);
             }
         }
     }
 
-    /// Drives the X/Y/Z recovery ladder to a fixpoint over a set of
-    /// multi-bit-faulty lines.
-    ///
-    /// Returns the recovered value of every multi-bit casualty that was
-    /// reconstructed. (For transient faults the store holds the same value
-    /// after write-back; for *persistent* faults — stuck cells that corrupt
-    /// every write-back — the returned map is the only place the recovered
-    /// data exists, exactly like the controller's correction buffer in
-    /// hardware.)
-    fn group_recovery(
-        &mut self,
-        faulty: BTreeSet<u64>,
-        report: &mut ScrubReport,
-    ) -> BTreeMap<u64, ProtectedLine> {
-        self.group_recovery_impl(faulty, report, true)
-    }
-
-    fn group_recovery_impl(
-        &mut self,
-        mut faulty: BTreeSet<u64>,
-        report: &mut ScrubReport,
-        fast: bool,
-    ) -> BTreeMap<u64, ProtectedLine> {
-        // Time the whole ladder as one `Recover` span (nested inside the
-        // caller's `Scrub` span); the clock is only read when telemetry is
-        // on and there is actual recovery work.
-        let span_start =
-            (self.recorder.enabled() && !faulty.is_empty()).then(std::time::Instant::now);
-        let mut recovered: BTreeMap<u64, ProtectedLine> = BTreeMap::new();
-        loop {
-            if faulty.is_empty() {
-                break;
-            }
-            let before = faulty.len();
-            for &dim in self.dims() {
-                if faulty.is_empty() {
-                    break;
-                }
-                self.recovery_pass(dim, &mut faulty, &mut recovered, report, fast);
-            }
-            if faulty.len() >= before {
-                break;
-            }
-        }
-        report.unresolved = faulty.into_iter().collect();
-        if let Some(start) = span_start {
-            self.recorder
-                .phases
-                .add(Phase::Recover, start.elapsed().as_secs_f64());
-        }
+    /// Group recovery of one line that failed a demand read or write; the
+    /// returned map holds `idx` if it was reconstructed.
+    fn recover_one(&mut self, idx: u64) -> BTreeMap<u64, ProtectedLine> {
+        let mut recovered = BTreeMap::new();
+        let mut scratch = ScrubReport::default();
+        let dims = self.dims();
+        self.recover(dims, &mut vec![idx], &mut recovered, &mut scratch, true);
         recovered
     }
 
-    /// One recovery pass over `faulty` in one hash dimension: repair every
-    /// implicated group (ascending group order, exactly like the
-    /// single-threaded ladder), then drop lines that are now clean or
-    /// reconstructed. One iteration of the SuDoku-Z fixpoint — exposed so a
-    /// sharded driver can interleave shard-local Hash-1 passes with
-    /// coordinator-run Hash-2 passes.
-    pub fn recovery_pass(
+    /// Drives the X/Y/Z recovery ladder to a fixpoint over the multi-bit
+    /// lines in `faulty`, one [`SudokuCache::recovery_pass`] per dimension
+    /// in `dims` per round, timed as one `Recover` phase span. `faulty`
+    /// must be ascending and duplicate-free; on return it holds the lines
+    /// still unresolved, in the same order.
+    ///
+    /// `recovered` collects the value of every reconstructed line. (For
+    /// transient faults the store holds the same value after write-back;
+    /// for *persistent* faults — stuck cells that corrupt every write-back
+    /// — the map is the only place the recovered data exists, exactly like
+    /// the controller's correction buffer in hardware.)
+    pub fn recover(
         &mut self,
-        dim: HashDim,
-        faulty: &mut BTreeSet<u64>,
+        dims: &[HashDim],
+        faulty: &mut Vec<u64>,
         recovered: &mut BTreeMap<u64, ProtectedLine>,
         report: &mut ScrubReport,
         fast: bool,
@@ -598,10 +555,43 @@ impl<S: LineStore> SudokuCache<S> {
         if faulty.is_empty() {
             return;
         }
-        let groups: BTreeSet<u64> = faulty
-            .iter()
-            .map(|&l| self.hashes.group_of(dim, l))
-            .collect();
+        // Nested inside the caller's `Scrub` span; the clock is only read
+        // when telemetry is on.
+        let span_start = self.recorder.enabled().then(std::time::Instant::now);
+        loop {
+            let before = faulty.len();
+            for &dim in dims {
+                self.recovery_pass(dim, faulty, recovered, report, fast);
+            }
+            if faulty.is_empty() || faulty.len() >= before {
+                break;
+            }
+        }
+        if let Some(start) = span_start {
+            self.recorder
+                .phases
+                .add(Phase::Recover, start.elapsed().as_secs_f64());
+        }
+    }
+
+    /// One recovery pass over `faulty` (ascending, duplicate-free) in one
+    /// hash dimension: repair every implicated group (ascending group
+    /// order, exactly like the single-threaded ladder), then drop lines
+    /// that are now clean or reconstructed. One iteration of the SuDoku-Z
+    /// fixpoint — exposed so a sharded driver can interleave shard-local
+    /// Hash-1 passes with coordinator-run Hash-2 passes.
+    pub fn recovery_pass(
+        &mut self,
+        dim: HashDim,
+        faulty: &mut Vec<u64>,
+        recovered: &mut BTreeMap<u64, ProtectedLine>,
+        report: &mut ScrubReport,
+        fast: bool,
+    ) {
+        if faulty.is_empty() {
+            return;
+        }
+        let groups = sorted_unique(faulty.iter().map(|&l| self.hashes.group_of(dim, l)));
         for group in groups {
             self.repair_group(dim, group, report, recovered, fast);
         }
@@ -611,10 +601,11 @@ impl<S: LineStore> SudokuCache<S> {
     /// Drops every line from `faulty` that is reconstructed (present in
     /// `recovered`) or whose stored copy no longer scrubs as multi-bit —
     /// the post-pass filter of the recovery fixpoint, with the same
-    /// `crc_checks` accounting.
+    /// `crc_checks` accounting. `faulty` must be ascending and
+    /// duplicate-free, and the survivors keep that order.
     pub fn retain_multibit(
         &mut self,
-        faulty: &mut BTreeSet<u64>,
+        faulty: &mut Vec<u64>,
         recovered: &BTreeMap<u64, ProtectedLine>,
     ) {
         faulty.retain(|&l| {

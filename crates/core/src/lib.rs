@@ -40,7 +40,7 @@ mod stats;
 mod store;
 mod vmin;
 
-pub use cache::{scheme_supported, SudokuCache, UncorrectableError};
+pub use cache::{scheme_supported, sorted_unique, SudokuCache, UncorrectableError};
 pub use config::{CacheGeometry, ConfigError, Scheme, SudokuConfig};
 pub use hashing::{HashDim, SkewedHashes};
 pub use plt::ParityTable;

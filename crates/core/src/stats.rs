@@ -112,7 +112,7 @@ pub struct ScrubReport {
     pub sdr_repairs: u64,
     /// Lines fixed only via the Hash-2 dimension.
     pub hash2_repairs: u64,
-    /// Lines left uncorrectable (their indices) — a detectable
+    /// Lines left uncorrectable (their indices, ascending) — a detectable
     /// uncorrectable error (DUE) if non-empty.
     pub unresolved: Vec<u64>,
 }

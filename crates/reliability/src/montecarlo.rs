@@ -283,6 +283,23 @@ impl CampaignSummary {
     pub fn fit(&self, scrub: &ScrubSchedule) -> f64 {
         scrub.fit_rate_linear(self.due_rate())
     }
+}
+
+/// A campaign summary the shared worker pool ([`run_campaign`]) can
+/// accumulate trial by trial and merge across workers.
+trait Tally: Default + Send {
+    /// Trials counted so far.
+    fn trials(&self) -> u64;
+    /// Counts one trial's outcome.
+    fn absorb(&mut self, o: &IntervalOutcome);
+    /// Adds another worker's tally.
+    fn merge(&mut self, other: &Self);
+}
+
+impl Tally for CampaignSummary {
+    fn trials(&self) -> u64 {
+        self.trials
+    }
 
     fn absorb(&mut self, o: &IntervalOutcome) {
         self.trials += 1;
@@ -308,15 +325,43 @@ impl CampaignSummary {
 }
 
 /// Lines that survived scrub non-zero without being flagged: silent data
-/// corruption under the golden-zero convention.
+/// corruption under the golden-zero convention. `report.unresolved` is
+/// ascending, so each touched line costs one binary search.
 fn count_sdc(cache: &SudokuCache<SparseStore>, report: &sudoku_core::ScrubReport) -> u32 {
     let mut sdc_lines = 0u32;
     for (idx, line) in cache.store().iter_touched() {
-        if !line.is_zero() && !report.unresolved.contains(&idx) {
+        if !line.is_zero() && report.unresolved.binary_search(&idx).is_err() {
             sdc_lines += 1;
         }
     }
     sdc_lines
+}
+
+/// The shared tail of every trial: scrubs the hinted (injected) lines,
+/// timed as the `Scrub` phase when observing, and tallies the outcome.
+fn scrub_interval(
+    cache: &mut SudokuCache<SparseStore>,
+    hints: &[u64],
+    faulty_bits: u32,
+) -> IntervalOutcome {
+    let scrub_start = cache.recorder().enabled().then(Instant::now);
+    let report = cache.scrub_lines(hints);
+    if let Some(start) = scrub_start {
+        cache
+            .recorder_mut()
+            .phases
+            .add(Phase::Scrub, start.elapsed().as_secs_f64());
+    }
+    IntervalOutcome {
+        faulty_lines: hints.len() as u32,
+        faulty_bits,
+        multibit_lines: report.multibit_lines as u32,
+        raid4_repairs: report.raid4_repairs as u32,
+        sdr_repairs: report.sdr_repairs as u32,
+        hash2_repairs: report.hash2_repairs as u32,
+        due_lines: report.unresolved.len() as u32,
+        sdc_lines: count_sdc(cache, &report),
+    }
 }
 
 /// Simulates one scrub interval in a caller-owned arena.
@@ -358,24 +403,7 @@ pub fn run_interval_in(
             .phases
             .add(Phase::Inject, start.elapsed().as_secs_f64());
     }
-    let scrub_start = observing.then(Instant::now);
-    let report = cache.scrub_lines(&hints);
-    if let Some(start) = scrub_start {
-        cache
-            .recorder_mut()
-            .phases
-            .add(Phase::Scrub, start.elapsed().as_secs_f64());
-    }
-    IntervalOutcome {
-        faulty_lines: plan.len() as u32,
-        faulty_bits,
-        multibit_lines: report.multibit_lines as u32,
-        raid4_repairs: report.raid4_repairs as u32,
-        sdr_repairs: report.sdr_repairs as u32,
-        hash2_repairs: report.hash2_repairs as u32,
-        due_lines: report.unresolved.len() as u32,
-        sdc_lines: count_sdc(cache, &report),
-    }
+    scrub_interval(cache, &hints, faulty_bits)
 }
 
 /// Simulates one scrub interval; deterministic in `(cfg, trial_seed)`.
@@ -396,47 +424,47 @@ fn worker_threads(requested: usize) -> usize {
     }
 }
 
-/// Runs `cfg.trials` independent intervals with per-worker reused arenas,
-/// collecting telemetry at the requested depth. The summary and throughput
-/// accounting are bit-identical across `observe` settings — telemetry
-/// never perturbs the trial RNG streams.
-pub fn run_interval_campaign_observed(
-    cfg: &McConfig,
+/// The campaign worker pool: `threads` workers claim trials `0..trials`
+/// in chunks from one atomic counter, each running them in its own reused
+/// arena (a sparse cache built from `config`, reset to golden zero after
+/// every trial) with the trial function `new_trial` built for it. Tallies,
+/// scrub counters and telemetry merge commutatively, so the result does
+/// not depend on the thread count or the schedule.
+fn run_campaign<T: Tally, F>(
+    config: SudokuConfig,
+    trials: u64,
+    threads: usize,
     observe: Observe,
-) -> (CampaignSummary, ThroughputReport, CampaignTelemetry) {
-    let threads = worker_threads(cfg.threads).min(cfg.trials.max(1) as usize);
+    new_trial: impl Fn() -> F + Sync,
+) -> (T, ThroughputReport, CampaignTelemetry)
+where
+    F: FnMut(&mut SudokuCache<SparseStore>, u64) -> IntervalOutcome,
+{
+    let threads = worker_threads(threads).min(trials.max(1) as usize);
     let next = AtomicU64::new(0);
     let start = Instant::now();
-    type WorkerResult = (CampaignSummary, u64, u64, f64, CampaignTelemetry);
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
+    let results: Vec<(T, ThroughputReport, CampaignTelemetry)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut cache = SudokuCache::new_sparse(cfg.sudoku_config())
-                        .expect("valid Monte-Carlo configuration");
+                scope.spawn(|| {
+                    let mut cache =
+                        SudokuCache::new_sparse(config).expect("valid Monte-Carlo configuration");
                     let _ = cache.set_recorder(observe.recorder());
                     let observing = observe.enabled();
-                    let mut injector = FaultInjector::new(cfg.ber, cfg.seed);
-                    let mut local = CampaignSummary::default();
+                    let mut trial = new_trial();
+                    let mut local = T::default();
                     let mut events: Vec<RecoveryEvent> = Vec::new();
                     let mut reset_cost = 0.0f64;
                     loop {
                         let chunk = next.fetch_add(TRIAL_CHUNK, Ordering::Relaxed);
-                        if chunk >= cfg.trials {
+                        if chunk >= trials {
                             break;
                         }
-                        for i in chunk..(chunk + TRIAL_CHUNK).min(cfg.trials) {
+                        for i in chunk..(chunk + TRIAL_CHUNK).min(trials) {
                             if observing {
                                 cache.recorder_mut().set_interval(i);
                             }
-                            let o = run_interval_in(
-                                &mut cache,
-                                &mut injector,
-                                cfg,
-                                cfg.seed.wrapping_add(i),
-                            );
-                            local.absorb(&o);
+                            local.absorb(&trial(&mut cache, i));
                             if observing {
                                 // Harvest before the reset clears the ring.
                                 events.extend(cache.drain_events());
@@ -452,18 +480,18 @@ pub fn run_interval_campaign_observed(
                     }
                     let stats = *cache.stats();
                     let recorder = cache.set_recorder(Recorder::disabled());
+                    let report = ThroughputReport {
+                        trials_per_sec: 0.0,
+                        lines_scrubbed: stats.lines_scrubbed,
+                        crc_checks: stats.crc_checks,
+                        reset_cost,
+                    };
                     let telemetry = CampaignTelemetry {
                         events,
                         hists: recorder.hists,
                         phases: recorder.phases,
                     };
-                    (
-                        local,
-                        stats.lines_scrubbed,
-                        stats.crc_checks,
-                        reset_cost,
-                        telemetry,
-                    )
+                    (local, report, telemetry)
                 })
             })
             .collect();
@@ -473,23 +501,45 @@ pub fn run_interval_campaign_observed(
             .collect()
     });
     let elapsed = start.elapsed().as_secs_f64();
-    let mut total = CampaignSummary::default();
+    let mut total = T::default();
     let mut report = ThroughputReport::default();
     let mut telemetry = CampaignTelemetry::default();
-    for (local, lines_scrubbed, crc_checks, reset_cost, worker_telemetry) in results {
+    for (local, worker, worker_telemetry) in results {
         total.merge(&local);
-        report.lines_scrubbed += lines_scrubbed;
-        report.crc_checks += crc_checks;
-        report.reset_cost += reset_cost;
+        report.lines_scrubbed += worker.lines_scrubbed;
+        report.crc_checks += worker.crc_checks;
+        report.reset_cost += worker.reset_cost;
         telemetry.merge(worker_telemetry);
     }
     telemetry.finish();
     report.trials_per_sec = if elapsed > 0.0 {
-        total.trials as f64 / elapsed
+        total.trials() as f64 / elapsed
     } else {
         f64::INFINITY
     };
     (total, report, telemetry)
+}
+
+/// Runs `cfg.trials` independent intervals with per-worker reused arenas,
+/// collecting telemetry at the requested depth. The summary and throughput
+/// accounting are bit-identical across `observe` settings — telemetry
+/// never perturbs the trial RNG streams.
+pub fn run_interval_campaign_observed(
+    cfg: &McConfig,
+    observe: Observe,
+) -> (CampaignSummary, ThroughputReport, CampaignTelemetry) {
+    run_campaign(
+        cfg.sudoku_config(),
+        cfg.trials,
+        cfg.threads,
+        observe,
+        || {
+            let mut injector = FaultInjector::new(cfg.ber, cfg.seed);
+            move |cache: &mut SudokuCache<SparseStore>, i: u64| {
+                run_interval_in(cache, &mut injector, cfg, cfg.seed.wrapping_add(i))
+            }
+        },
+    )
 }
 
 /// Runs `cfg.trials` independent intervals with per-worker reused arenas
@@ -693,6 +743,12 @@ impl GroupCampaignSummary {
     pub fn failure_rate(&self) -> f64 {
         self.due as f64 / self.trials as f64
     }
+}
+
+impl Tally for GroupCampaignSummary {
+    fn trials(&self) -> u64 {
+        self.trials
+    }
 
     fn absorb(&mut self, o: &IntervalOutcome) {
         self.trials += 1;
@@ -701,6 +757,13 @@ impl GroupCampaignSummary {
         }
         self.due += (o.due_lines > 0) as u64;
         self.sdc += (o.sdc_lines > 0) as u64;
+    }
+
+    fn merge(&mut self, r: &GroupCampaignSummary) {
+        self.trials += r.trials;
+        self.repaired += r.repaired;
+        self.due += r.due;
+        self.sdc += r.sdc;
     }
 }
 
@@ -747,24 +810,7 @@ pub fn run_group_trial_in(
                 .add(Phase::Inject, start.elapsed().as_secs_f64());
         }
     }
-    let scrub_start = observing.then(Instant::now);
-    let report = cache.scrub_lines(&hints);
-    if let Some(start) = scrub_start {
-        cache
-            .recorder_mut()
-            .phases
-            .add(Phase::Scrub, start.elapsed().as_secs_f64());
-    }
-    IntervalOutcome {
-        faulty_lines: scenario.fault_counts.len() as u32,
-        faulty_bits,
-        multibit_lines: report.multibit_lines as u32,
-        raid4_repairs: report.raid4_repairs as u32,
-        sdr_repairs: report.sdr_repairs as u32,
-        hash2_repairs: report.hash2_repairs as u32,
-        due_lines: report.unresolved.len() as u32,
-        sdc_lines: count_sdc(cache, &report),
-    }
+    scrub_interval(cache, &hints, faulty_bits)
 }
 
 /// Runs one conditional group trial. Returns the outcome of the interval.
@@ -784,89 +830,11 @@ pub fn run_group_campaign_observed(
     threads: usize,
     observe: Observe,
 ) -> (GroupCampaignSummary, ThroughputReport, CampaignTelemetry) {
-    let threads = worker_threads(threads).min(trials.max(1) as usize);
-    let next = AtomicU64::new(0);
-    let start = Instant::now();
-    type WorkerResult = (GroupCampaignSummary, u64, u64, f64, CampaignTelemetry);
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let scenario = scenario.clone();
-                scope.spawn(move || {
-                    let mut cache = SudokuCache::new_sparse(scenario.sudoku_config())
-                        .expect("valid scenario configuration");
-                    let _ = cache.set_recorder(observe.recorder());
-                    let observing = observe.enabled();
-                    let mut local = GroupCampaignSummary::default();
-                    let mut events: Vec<RecoveryEvent> = Vec::new();
-                    let mut reset_cost = 0.0f64;
-                    loop {
-                        let chunk = next.fetch_add(TRIAL_CHUNK, Ordering::Relaxed);
-                        if chunk >= trials {
-                            break;
-                        }
-                        for i in chunk..(chunk + TRIAL_CHUNK).min(trials) {
-                            if observing {
-                                cache.recorder_mut().set_interval(i);
-                            }
-                            let o = run_group_trial_in(&mut cache, &scenario, seed.wrapping_add(i));
-                            local.absorb(&o);
-                            if observing {
-                                events.extend(cache.drain_events());
-                            }
-                            let t = Instant::now();
-                            cache.reset_to_golden_zero();
-                            let dt = t.elapsed().as_secs_f64();
-                            reset_cost += dt;
-                            if observing {
-                                cache.recorder_mut().phases.add(Phase::Reset, dt);
-                            }
-                        }
-                    }
-                    let stats = *cache.stats();
-                    let recorder = cache.set_recorder(Recorder::disabled());
-                    let telemetry = CampaignTelemetry {
-                        events,
-                        hists: recorder.hists,
-                        phases: recorder.phases,
-                    };
-                    (
-                        local,
-                        stats.lines_scrubbed,
-                        stats.crc_checks,
-                        reset_cost,
-                        telemetry,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let mut total = GroupCampaignSummary::default();
-    let mut report = ThroughputReport::default();
-    let mut telemetry = CampaignTelemetry::default();
-    for (local, lines_scrubbed, crc_checks, reset_cost, worker_telemetry) in results {
-        total.trials += local.trials;
-        total.repaired += local.repaired;
-        total.due += local.due;
-        total.sdc += local.sdc;
-        report.lines_scrubbed += lines_scrubbed;
-        report.crc_checks += crc_checks;
-        report.reset_cost += reset_cost;
-        telemetry.merge(worker_telemetry);
-    }
-    telemetry.finish();
-    report.trials_per_sec = if elapsed > 0.0 {
-        total.trials as f64 / elapsed
-    } else {
-        f64::INFINITY
-    };
-    (total, report, telemetry)
+    run_campaign(scenario.sudoku_config(), trials, threads, observe, || {
+        |cache: &mut SudokuCache<SparseStore>, i: u64| {
+            run_group_trial_in(cache, scenario, seed.wrapping_add(i))
+        }
+    })
 }
 
 /// Runs a conditional campaign over `trials` seeds with per-worker reused

@@ -1477,9 +1477,7 @@ fn daemon_tick(
         }
     }
     reg.scrub_lines_swept.add(lines_swept);
-    hints.sort_unstable();
-    hints.dedup();
-    let (_report, leftover) = state.scrub_shard_local(shard, &hints);
+    let leftover = state.scrub_shard_local(shard, &hints).unresolved;
     for (packet, first_line) in swept {
         let interval_ns = tracker.note_packet(shard, packet);
         if let Some(maps) = state.heatmaps() {

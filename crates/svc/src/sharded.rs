@@ -43,14 +43,14 @@
 use crate::degraded::{DegradedConfig, DegradedStats, ShardHealth, SpareTable};
 use crate::error::ServiceError;
 use crate::view::{LineView, ViewRead, ViewStore};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine};
 use sudoku_core::{
-    reassert_stuck, CacheStats, ConfigError, GroupScratch, GroupView, HashDim, LineStore,
-    MemberState, Recorder, RepairEngine, RepairParams, ScrubReport, ShardPlan, SudokuCache,
-    SudokuConfig, UncorrectableError,
+    reassert_stuck, sorted_unique, CacheStats, ConfigError, GroupScratch, GroupView, HashDim,
+    LineStore, MemberState, Recorder, RepairEngine, RepairParams, ScrubReport, ShardPlan,
+    SudokuCache, SudokuConfig, UncorrectableError,
 };
 use sudoku_fault::{FaultInjector, StuckBitMap};
 use sudoku_obs::Heatmaps;
@@ -81,10 +81,11 @@ struct ShardExtra {
 }
 
 /// Per-call recovery state of one shard during a scrub or escalation.
+/// `hints` and `faulty` are ascending and duplicate-free.
 #[derive(Default)]
 struct ScrubState {
     hints: Vec<u64>,
-    faulty: BTreeSet<u64>,
+    faulty: Vec<u64>,
     recovered: BTreeMap<u64, ProtectedLine>,
     report: ScrubReport,
 }
@@ -735,7 +736,7 @@ impl ShardedCache {
         let all_up = guards.iter().all(Option::is_some);
         let mut work = Self::borrow_working(&mut guards);
         let mut down_report = ScrubReport::default();
-        for &line in hints {
+        for line in sorted_unique(hints.iter().copied()) {
             match work[self.plan.shard_of_line(line)].as_mut() {
                 Some(w) => w.st.hints.push(line),
                 None => down_report.unresolved.push(line),
@@ -754,10 +755,8 @@ impl ShardedCache {
         });
         let coord_report = self.fixpoint(&mut work, all_up);
         for w in work.iter_mut().flatten() {
-            w.st.report.unresolved = w.st.faulty.iter().copied().collect();
-            let mut report = std::mem::take(&mut w.st.report);
-            w.cache.finish_scrub(&mut report);
-            w.st.report = report;
+            w.st.report.unresolved = std::mem::take(&mut w.st.faulty);
+            w.cache.finish_scrub(&mut w.st.report);
         }
         // Physics: stuck cells re-corrupt whatever the scrub wrote back.
         for (shard, w) in work.iter_mut().enumerate() {
@@ -765,7 +764,7 @@ impl ShardedCache {
                 self.reassert_shard(w.cache, shard);
             }
         }
-        self.finish_down_lines(&mut down_report);
+        self.finish_down_lines(&down_report);
         merge_reports(
             work.iter()
                 .flatten()
@@ -781,23 +780,24 @@ impl ShardedCache {
         self.scrub_lines(&all)
     }
 
-    /// Shard-local scrub tick: scans the hinted lines owned by `shard` and
-    /// runs the Hash-1-only recovery fixpoint inside that shard, without
-    /// touching any other shard. Returns the tick's report and the lines
-    /// the shard could **not** resolve locally — the caller escalates
-    /// those via [`ShardedCache::escalate`]. No DUE accounting happens
-    /// here; a line is only a DUE once escalation also fails. A
-    /// quarantined shard returns an empty report and no leftovers.
-    pub fn scrub_shard_local(&self, shard: usize, hints: &[u64]) -> (ScrubReport, Vec<u64>) {
+    /// Shard-local scrub tick: scans the hinted lines owned by `shard` (in
+    /// any order, repeats allowed) and runs core's Hash-1-only recovery
+    /// fixpoint inside that shard, without touching any other shard. The
+    /// report's `unresolved` lines are the ones the shard could **not**
+    /// resolve locally — the caller escalates those via
+    /// [`ShardedCache::escalate`]. No DUE accounting happens here; a line
+    /// is only a DUE once escalation also fails. A quarantined shard
+    /// returns an empty report.
+    pub fn scrub_shard_local(&self, shard: usize, hints: &[u64]) -> ScrubReport {
         let mut report = ScrubReport::default();
         // The bulk scan runs in chunked lock holds (like fault injection):
         // single-bit repairs are per-line atomic, and a demand write that
         // slips between chunks just heals its line before the scan gets
         // there — the recovery fixpoint below re-verifies every survivor.
-        let mut faulty = BTreeSet::new();
-        for chunk in hints.chunks(DAEMON_LOCK_CHUNK) {
+        let mut faulty = Vec::new();
+        for chunk in sorted_unique(hints.iter().copied()).chunks(DAEMON_LOCK_CHUNK) {
             let Ok(mut cache) = self.lock_shard(shard) else {
-                return (ScrubReport::default(), Vec::new());
+                return ScrubReport::default();
             };
             let lines: Vec<u64> = {
                 let extra = self.lock_extra(shard);
@@ -810,27 +810,23 @@ impl ShardedCache {
             faulty.extend(cache.scrub_scan(lines, true, &mut report));
         }
         let Ok(mut cache) = self.lock_shard(shard) else {
-            return (ScrubReport::default(), Vec::new());
+            return ScrubReport::default();
         };
         let mut recovered = BTreeMap::new();
-        loop {
-            if faulty.is_empty() {
-                break;
-            }
-            let before = faulty.len();
-            cache.recovery_pass(HashDim::H1, &mut faulty, &mut recovered, &mut report, true);
-            if faulty.len() >= before {
-                break;
-            }
-        }
+        cache.recover(
+            &[HashDim::H1],
+            &mut faulty,
+            &mut recovered,
+            &mut report,
+            true,
+        );
         // Physics + non-convergence accounting: reconstructions of stuck
         // lines are immediately undone by the stuck cells — count them as
-        // strikes (with the recovered data!) instead of looping forever.
+        // strikes (with the recovered data!) instead of retrying forever.
         self.note_undone_reconstructions(shard, &recovered);
         self.reassert_shard(&mut cache, shard);
-        let leftover: Vec<u64> = faulty.into_iter().collect();
-        report.unresolved = leftover.clone();
-        (report, leftover)
+        report.unresolved = faulty;
+        report
     }
 
     /// Cross-shard escalation: re-verifies the given lines and drives the
@@ -868,25 +864,20 @@ impl ShardedCache {
             self.lock_coord().recorder.set_trace(trace);
         }
         let mut down_report = ScrubReport::default();
-        for &line in lines {
+        for line in sorted_unique(lines.iter().copied()) {
             let shard = self.plan.shard_of_line(line);
             match work[shard].as_mut() {
                 // A spared line is already remapped out of the array;
                 // reads hit the pool, so there is nothing to escalate.
-                Some(w) if !self.is_spared(shard, line) => {
-                    w.st.faulty.insert(line);
-                }
+                Some(w) if !self.is_spared(shard, line) => w.st.faulty.push(line),
                 Some(_) => {}
                 None => down_report.unresolved.push(line),
             }
         }
         // Seeds may have been healed (or cleanly overwritten) since the
         // caller saw them fail; keep only the still-multibit ones.
-        let empty = BTreeMap::new();
         for w in work.iter_mut().flatten() {
-            let mut faulty = std::mem::take(&mut w.st.faulty);
-            w.cache.retain_multibit(&mut faulty, &empty);
-            w.st.faulty = faulty;
+            w.cache.retain_multibit(&mut w.st.faulty, &BTreeMap::new());
         }
         let had_faulty = work.iter().flatten().any(|w| !w.st.faulty.is_empty());
         let coord_report = self.fixpoint(&mut work, all_up);
@@ -894,10 +885,8 @@ impl ShardedCache {
             self.skipped_h2.fetch_add(1, Ordering::Relaxed);
         }
         for w in work.iter_mut().flatten() {
-            w.st.report.unresolved = w.st.faulty.iter().copied().collect();
-            let mut report = std::mem::take(&mut w.st.report);
-            w.cache.finish_scrub(&mut report);
-            w.st.report = report;
+            w.st.report.unresolved = std::mem::take(&mut w.st.faulty);
+            w.cache.finish_scrub(&mut w.st.report);
         }
         // Capture the demand read's value now: the store holds whatever the
         // escalation repaired, and the stuck-cell reassert below is about
@@ -935,7 +924,7 @@ impl ShardedCache {
                 }
             }
         }
-        self.finish_down_lines(&mut down_report);
+        self.finish_down_lines(&down_report);
         if trace != 0 {
             for w in work.iter_mut().flatten() {
                 w.cache.recorder_mut().set_trace(0);
@@ -979,15 +968,14 @@ impl ShardedCache {
         }
     }
 
-    /// Sorts/dedups the lines owned by dead shards and charges them to the
+    /// Charges the lines owned by dead shards (ascending and
+    /// duplicate-free, as collected from normalized input) to the
     /// coordinator's DUE counter (their own shard's counters are
     /// unreachable, but the loss must still be visible in `stats()`).
-    fn finish_down_lines(&self, down_report: &mut ScrubReport) {
+    fn finish_down_lines(&self, down_report: &ScrubReport) {
         if down_report.unresolved.is_empty() {
             return;
         }
-        down_report.unresolved.sort_unstable();
-        down_report.unresolved.dedup();
         self.lock_coord().stats.due_lines += down_report.unresolved.len() as u64;
         // These DUEs bypass every recorder (the owning shard is dead), so
         // the heatmap is charged directly to keep grid == counter exact.
@@ -1052,26 +1040,20 @@ impl ShardedCache {
             std::thread::scope(|s| {
                 for w in work.iter_mut().flatten() {
                     s.spawn(move || {
-                        let mut faulty = std::mem::take(&mut w.st.faulty);
                         w.cache.recovery_pass(
                             HashDim::H1,
-                            &mut faulty,
+                            &mut w.st.faulty,
                             &mut w.st.recovered,
                             &mut w.st.report,
                             true, // fast: all-zero members skip the CRC check
                         );
-                        w.st.faulty = faulty;
                     });
                 }
             });
             if use_h2 && work.iter().flatten().any(|w| !w.st.faulty.is_empty()) {
                 self.h2_pass(&mut coord, work, &mut coord_report);
                 for w in work.iter_mut().flatten() {
-                    let mut faulty = std::mem::take(&mut w.st.faulty);
-                    let recovered = std::mem::take(&mut w.st.recovered);
-                    w.cache.retain_multibit(&mut faulty, &recovered);
-                    w.st.recovered = recovered;
-                    w.st.faulty = faulty;
+                    w.cache.retain_multibit(&mut w.st.faulty, &w.st.recovered);
                 }
             }
             let after: usize = work.iter().flatten().map(|w| w.st.faulty.len()).sum();
@@ -1092,12 +1074,12 @@ impl ShardedCache {
         report: &mut ScrubReport,
     ) {
         let hashes = self.plan.hashes();
-        let groups: BTreeSet<u64> = work
-            .iter()
-            .flatten()
-            .flat_map(|w| w.st.faulty.iter())
-            .map(|&l| hashes.group_of(HashDim::H2, l))
-            .collect();
+        let groups = sorted_unique(
+            work.iter()
+                .flatten()
+                .flat_map(|w| w.st.faulty.iter())
+                .map(|&l| hashes.group_of(HashDim::H2, l)),
+        );
         for group in groups {
             let members: Vec<u64> = hashes.members(HashDim::H2, group).collect();
             let mut parity = ProtectedLine::zero();

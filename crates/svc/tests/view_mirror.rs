@@ -154,7 +154,7 @@ fn run(scheme: Scheme, n_shards: usize, seed: u64) -> (CacheStats, u64) {
             1 => {
                 let mut leftovers = Vec::new();
                 for shard in 0..n_shards {
-                    let (_, left) = cache.scrub_shard_local(shard, &hints);
+                    let left = cache.scrub_shard_local(shard, &hints).unresolved;
                     assert_view_mirrors_store(&cache, &format!("{step} local scrub {shard}"));
                     leftovers.extend(left);
                 }
