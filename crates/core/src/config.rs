@@ -103,6 +103,13 @@ pub enum ConfigError {
         /// Available Hash-1 groups.
         groups: u64,
     },
+    /// The geometry has more lines than a sharded cache's line array holds.
+    TooManyLines {
+        /// Configured number of lines.
+        lines: u64,
+        /// Largest supported number of lines.
+        max: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -129,6 +136,12 @@ impl fmt::Display for ConfigError {
                     f,
                     "{shards} shards cannot partition {groups} Hash-1 groups \
                      (need 1 <= shards <= groups)"
+                )
+            }
+            ConfigError::TooManyLines { lines, max } => {
+                write!(
+                    f,
+                    "{lines} lines exceeds the sharded cache's {max}-line limit"
                 )
             }
         }

@@ -5,7 +5,8 @@
 //! shards, so every Hash-1 repair (ECC-1, CRC detect, RAID-4, SDR) touches
 //! exactly one shard, while every Hash-2 group spans several shards — the
 //! SuDoku-Z dimension is inherently a cross-shard protocol. Each shard is
-//! a full-geometry sparse [`SudokuCache`] with
+//! a full-geometry [`SudokuCache`] over the one shared line array (the
+//! lock-free view, of which it only touches the lines it owns), with
 //! [`SudokuConfig::with_deferred_hash2`] set: the shard still maintains
 //! its slice of the Hash-2 PLT on writes (parity is linear, so the global
 //! Hash-2 parity of a group is the XOR of the per-shard slices), but its
@@ -42,7 +43,7 @@
 
 use crate::degraded::{DegradedConfig, DegradedStats, ShardHealth, SpareTable};
 use crate::error::ServiceError;
-use crate::view::{LineView, ViewRead, ViewStore};
+use crate::view::{LineView, ViewRead, ViewStore, MAX_VIEW_LINES};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -216,12 +217,12 @@ pub struct ShardedCache {
     stuck: StuckBitMap,
     rejects: AtomicU64,
     skipped_h2: AtomicU64,
-    /// Seqlock-stamped copy of every stored line for lock-free clean
-    /// reads; `None` when the geometry is too large for one. Every shard's
-    /// [`ViewStore`] writes through into it, so it equals the stores by
-    /// construction; this handle serves the read side, the pending-write
-    /// gate and sparing invalidations.
-    view: Option<Arc<LineView>>,
+    /// The line array: one seqlock-stamped slot per line, and the only
+    /// copy of every stored line. Each shard's [`ViewStore`] reads and
+    /// writes its own lines' slots under the shard mutex; this handle
+    /// serves lock-free clean reads, the pending-write gate and sparing
+    /// invalidations.
+    view: Arc<LineView>,
     /// The spatial reliability plane, once attached: every recorder emit
     /// taps into its per-(shard, region) grids, and the paths that bump
     /// counters *without* emitting (fault injection, stuck-cell physics,
@@ -237,7 +238,8 @@ impl ShardedCache {
     ///
     /// Propagates [`ConfigError`] from validation, including
     /// [`ConfigError::BadShardCount`] when the Hash-1 groups cannot be
-    /// divided among `n_shards`.
+    /// divided among `n_shards` and [`ConfigError::TooManyLines`] when the
+    /// geometry exceeds the line array's 2^20 lines.
     pub fn new(config: SudokuConfig, n_shards: usize) -> Result<Self, ConfigError> {
         Self::with_faults(
             config,
@@ -263,13 +265,19 @@ impl ShardedCache {
         stuck: StuckBitMap,
         degraded: DegradedConfig,
     ) -> Result<Self, ConfigError> {
+        let n_lines = config.geometry.lines();
+        if n_lines > MAX_VIEW_LINES {
+            return Err(ConfigError::TooManyLines {
+                lines: n_lines,
+                max: MAX_VIEW_LINES,
+            });
+        }
         let plan = ShardPlan::new(&config, n_shards)?;
         let shard_config = config.with_deferred_hash2();
-        let n_lines = config.geometry.lines();
-        let view = LineView::new(n_lines, n_shards).map(Arc::new);
+        let view = Arc::new(LineView::new(n_lines, n_shards));
         let shards = (0..n_shards)
             .map(|_| {
-                let store = ViewStore::new(n_lines, view.clone());
+                let store = ViewStore::new(Arc::clone(&view));
                 SudokuCache::with_store(shard_config, store).map(Mutex::new)
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -440,32 +448,19 @@ impl ShardedCache {
         changed
     }
 
-    /// Permanently removes `line` from the lock-free view (it was remapped
-    /// to a spare slot; the array copy is no longer authoritative).
-    fn invalidate_view(&self, line: u64) {
-        if let Some(view) = &self.view {
-            view.invalidate(line);
-        }
-    }
-
     /// Marks a write for `line` as accepted-but-not-applied: lock-free
     /// reads of the line miss until [`ShardedCache::retire_write`]
     /// balances this call, so a queued fire-and-forget write stays
     /// read-your-write consistent (the queue's FIFO order serves the read
-    /// after the write). No-op without a view.
+    /// after the write).
     pub(crate) fn begin_write(&self, line: u64) {
-        if let Some(view) = &self.view {
-            view.begin_write(line);
-        }
+        self.view.begin_write(line);
     }
 
     /// Balances one [`ShardedCache::begin_write`] once the write has been
     /// applied — or consumed by a teardown path that will never apply it.
-    /// No-op without a view.
     pub(crate) fn retire_write(&self, line: u64) {
-        if let Some(view) = &self.view {
-            view.retire_write(line);
-        }
+        self.view.retire_write(line);
     }
 
     /// Attempts a lock-free clean read of `line` via the seqlock view:
@@ -473,15 +468,12 @@ impl ShardedCache {
     /// or golden zero), `None` when the caller must take the locked path.
     /// The second element counts seqlock retries (for telemetry).
     pub fn try_read_clean(&self, line: u64) -> (Option<LineData>, u32) {
-        let Some(view) = &self.view else {
-            return (None, 0);
-        };
         let shard = self.plan.shard_of_line(line);
         if !self.health.is_up(shard) {
             // Quarantine wins: the locked path owns the error reporting.
             return (None, 0);
         }
-        match view.try_read(line, shard) {
+        match self.view.try_read(line, shard) {
             (ViewRead::Clean(data), retries) => (Some(data), retries),
             (ViewRead::Zero, retries) => (Some(LineData::zero()), retries),
             (ViewRead::Miss, retries) => (None, retries),
@@ -654,10 +646,8 @@ impl ShardedCache {
     /// for non-zero lines) the reference would have counted under the
     /// lock, so aggregates stay bit-identical to the reference path.
     fn fold_view_stats(&self, shard: usize, stats: &mut CacheStats) {
-        if let Some(view) = &self.view {
-            stats.reads += view.reads(shard);
-            stats.crc_checks += view.crc_checks(shard);
-        }
+        stats.reads += self.view.reads(shard);
+        stats.crc_checks += self.view.crc_checks(shard);
     }
 
     /// The coordinator's own counters (cross-shard Hash-2 work).
@@ -918,7 +908,7 @@ impl ShardedCache {
                         }
                         if extra.spares.strike(line, None) {
                             // Remapped: the array copy is dead to readers.
-                            self.invalidate_view(line);
+                            self.view.invalidate(line);
                         }
                     }
                 }
@@ -962,7 +952,7 @@ impl ShardedCache {
                 // When the threshold is reached the line is spared *with*
                 // the reconstructed data — reads stop needing escalation.
                 if extra.spares.strike(line, Some(value.data)) {
-                    self.invalidate_view(line);
+                    self.view.invalidate(line);
                 }
             }
         }
@@ -1248,6 +1238,31 @@ mod tests {
         assert!(matches!(
             ShardedCache::new(config, 17),
             Err(ConfigError::BadShardCount { .. })
+        ));
+    }
+
+    #[test]
+    fn oversized_geometry_is_rejected() {
+        // The paper's 64 MB LLC of 64 B lines is exactly the cap: it builds.
+        let paper = SudokuConfig::small(Scheme::Z, MAX_VIEW_LINES, 512);
+        let cache = ShardedCache::new(paper, 1).unwrap();
+        assert_eq!(
+            cache.try_read_clean(MAX_VIEW_LINES - 1).0,
+            Some(LineData::zero())
+        );
+        drop(cache);
+        let lines = 2 * MAX_VIEW_LINES;
+        assert_eq!(
+            ShardedCache::new(SudokuConfig::small(Scheme::Z, lines, 512), 4).err(),
+            Some(ConfigError::TooManyLines {
+                lines,
+                max: MAX_VIEW_LINES
+            })
+        );
+        let service = crate::Service::start(crate::ServiceConfig::small(lines, 4, 0.0, 1));
+        assert!(matches!(
+            service.err(),
+            Some(crate::StartError::Config(ConfigError::TooManyLines { .. }))
         ));
     }
 
