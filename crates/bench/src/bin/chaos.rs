@@ -78,7 +78,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use sudoku_bench::{flag, git_rev, header, warn_baseline_rev};
+use sudoku_bench::{arg, flag, git_rev, header, warn_baseline_rev};
 use sudoku_codes::LineData;
 use sudoku_core::{Scheme, SudokuConfig};
 use sudoku_fault::{FaultInjector, StuckBitMap};
@@ -162,49 +162,39 @@ struct Opts {
 
 impl Opts {
     fn parse() -> Opts {
-        let argv: Vec<String> = std::env::args().collect();
-        let get = |flag: &str| -> Option<&str> {
-            argv.iter()
-                .position(|a| a == flag)
-                .and_then(|i| argv.get(i + 1))
-                .map(String::as_str)
-        };
-        let u =
-            |flag: &str, default: u64| get(flag).and_then(|v| v.parse().ok()).unwrap_or(default);
-        let f =
-            |flag: &str, default: f64| get(flag).and_then(|v| v.parse().ok()).unwrap_or(default);
+        let sample_ms = arg("--sample-ms").unwrap_or(50);
         Opts {
-            shards: u("--shards", 4) as usize,
-            lines: u("--lines", 1 << 13),
-            clients: u("--clients", 4) as usize,
-            requests: u("--requests", 200_000),
-            ber: f("--ber", 1e-4),
-            stuck_ber: f("--stuck-ber", 1e-5),
-            tick_ms: u("--tick-ms", 1),
-            queue: u("--queue", 8) as usize, // tiny: the soak lives under saturation
-            seed: u("--seed", 42),
-            panic_shards: u("--panic-shards", 1) as usize,
-            panic_after_ms: u("--panic-after-ms", 40),
-            shutdown_after_ms: u("--shutdown-after-ms", 120),
-            max_due: u("--max-due", u64::MAX),
-            telemetry_port: u("--telemetry-port", 0) as u16,
-            bind: get("--bind")
-                .map(|v| parse_bind_addr(v).unwrap_or_else(|e| panic!("{e}")))
+            shards: arg("--shards").unwrap_or(4),
+            lines: arg("--lines").unwrap_or(1 << 13),
+            clients: arg("--clients").unwrap_or(4),
+            requests: arg("--requests").unwrap_or(200_000),
+            ber: arg("--ber").unwrap_or(1e-4),
+            stuck_ber: arg("--stuck-ber").unwrap_or(1e-5),
+            tick_ms: arg("--tick-ms").unwrap_or(1),
+            queue: arg("--queue").unwrap_or(8), // tiny: the soak lives under saturation
+            seed: arg("--seed").unwrap_or(42),
+            panic_shards: arg("--panic-shards").unwrap_or(1),
+            panic_after_ms: arg("--panic-after-ms").unwrap_or(40),
+            shutdown_after_ms: arg("--shutdown-after-ms").unwrap_or(120),
+            max_due: arg("--max-due").unwrap_or(u64::MAX),
+            telemetry_port: arg("--telemetry-port").unwrap_or(0),
+            bind: arg::<String>("--bind")
+                .map(|v| parse_bind_addr(&v).unwrap_or_else(|e| panic!("{e}")))
                 .unwrap_or(std::net::IpAddr::from([127, 0, 0, 1])),
-            flight_recorder: get("--flight-recorder").map(String::from),
-            sample_ms: u("--sample-ms", 50),
-            ttd_budget_ms: u("--ttd-budget-ms", u("--sample-ms", 50)),
-            stall_ms: u("--stall-ms", 100),
-            alerts: get("--alerts").map(String::from),
-            heatmap: get("--heatmap").map(String::from),
-            wire_clients: u("--wire-clients", 2) as usize,
-            wire_ttd_budget_ms: u("--wire-ttd-budget-ms", 50),
-            spatial_flips: u("--spatial-flips", 256),
+            flight_recorder: arg("--flight-recorder"),
+            sample_ms,
+            ttd_budget_ms: arg("--ttd-budget-ms").unwrap_or(sample_ms),
+            stall_ms: arg("--stall-ms").unwrap_or(100),
+            alerts: arg("--alerts"),
+            heatmap: arg("--heatmap"),
+            wire_clients: arg("--wire-clients").unwrap_or(2),
+            wire_ttd_budget_ms: arg("--wire-ttd-budget-ms").unwrap_or(50),
+            spatial_flips: arg("--spatial-flips").unwrap_or(256),
             // The watchdog samples heatmap cells once per flip interval
             // (fast_window / 4 = 250 ms): one full interval to see the
             // delta, one scan to raise, generous margin for the sweep
             // itself to repair the burst.
-            spatial_ttd_budget_ms: u("--spatial-ttd-budget-ms", 1000),
+            spatial_ttd_budget_ms: arg("--spatial-ttd-budget-ms").unwrap_or(1000),
         }
     }
 }

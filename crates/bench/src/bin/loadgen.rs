@@ -48,11 +48,11 @@
 
 use std::net::IpAddr;
 use std::time::Duration;
-use sudoku_bench::{flag, git_rev, header, json_f64_field, warn_baseline_rev};
+use sudoku_bench::{arg, flag, git_rev, header, Baseline};
 use sudoku_core::{Scheme, SudokuConfig};
 use sudoku_fault::StuckBitMap;
 use sudoku_svc::{
-    parse_bind_addr, AddrMode, AuditConfig, DegradedConfig, LoadgenConfig, Service, ServiceConfig,
+    parse_bind_addr, AuditConfig, DegradedConfig, LoadgenConfig, Service, ServiceConfig,
     TelemetryConfig,
 };
 
@@ -77,36 +77,25 @@ struct Opts {
 
 impl Opts {
     fn parse() -> Opts {
-        let argv: Vec<String> = std::env::args().collect();
-        let get = |flag: &str| -> Option<&str> {
-            argv.iter()
-                .position(|a| a == flag)
-                .and_then(|i| argv.get(i + 1))
-                .map(String::as_str)
-        };
-        let u =
-            |flag: &str, default: u64| get(flag).and_then(|v| v.parse().ok()).unwrap_or(default);
-        let f =
-            |flag: &str, default: f64| get(flag).and_then(|v| v.parse().ok()).unwrap_or(default);
         Opts {
-            shards: u("--shards", 4) as usize,
-            clients: u("--clients", 4) as usize,
-            requests: u("--requests", 10_000),
-            rate: u("--rate", 0),
-            lines: u("--lines", 1 << 14),
-            ber: f("--ber", 1e-4),
-            theta: f("--theta", 0.8),
-            write_frac: f("--write-frac", 0.3),
-            tick_ms: u("--tick-ms", 1),
-            queue: u("--queue", 64) as usize,
-            seed: u("--seed", 42),
-            telemetry_port: get("--telemetry-port").and_then(|v| v.parse().ok()),
-            bind: get("--bind")
-                .map(|v| parse_bind_addr(v).unwrap_or_else(|e| panic!("{e}")))
+            shards: arg("--shards").unwrap_or(4),
+            clients: arg("--clients").unwrap_or(4),
+            requests: arg("--requests").unwrap_or(10_000),
+            rate: arg("--rate").unwrap_or(0),
+            lines: arg("--lines").unwrap_or(1 << 14),
+            ber: arg("--ber").unwrap_or(1e-4),
+            theta: arg("--theta").unwrap_or(0.8),
+            write_frac: arg("--write-frac").unwrap_or(0.3),
+            tick_ms: arg("--tick-ms").unwrap_or(1),
+            queue: arg("--queue").unwrap_or(64),
+            seed: arg("--seed").unwrap_or(42),
+            telemetry_port: arg("--telemetry-port"),
+            bind: arg::<String>("--bind")
+                .map(|v| parse_bind_addr(&v).unwrap_or_else(|e| panic!("{e}")))
                 .unwrap_or(IpAddr::from([127, 0, 0, 1])),
-            flight_recorder: get("--flight-recorder").map(String::from),
-            sample_ms: u("--sample-ms", 50),
-            alerts: get("--alerts").map(String::from),
+            flight_recorder: arg("--flight-recorder"),
+            sample_ms: arg("--sample-ms").unwrap_or(50),
+            alerts: arg("--alerts"),
         }
     }
 
@@ -130,19 +119,7 @@ fn main() {
     let opts = Opts::parse();
     header("Service load generator (sharded cache + scrub daemon)");
     // Read the committed baseline up front: `--json` overwrites the file.
-    let baseline = std::fs::read_to_string("BENCH_svc.json").ok();
-    let baseline_rps = baseline
-        .as_deref()
-        .and_then(|t| json_f64_field(t, "req_per_sec"));
-    let pre_pr_rps = baseline
-        .as_deref()
-        .and_then(|t| json_f64_field(t, "req_per_sec_pre_pr"))
-        .or(baseline_rps);
-    if flag("--check-baseline") && baseline_rps.is_none() {
-        eprintln!(
-            "warning: --check-baseline set but BENCH_svc.json has no req_per_sec; gate skipped"
-        );
-    }
+    let baseline = Baseline::read("BENCH_svc.json", "req_per_sec");
     println!(
         "shards = {}, clients = {}, requests/client = {}, lines = {}, ber = {:.2e}, \
          zipf theta = {}, seed = {}",
@@ -170,7 +147,7 @@ fn main() {
         requests_per_worker: opts.requests,
         target_rps: opts.rate,
         write_frac: opts.write_frac,
-        mode: AddrMode::Zipf { theta: opts.theta },
+        theta: opts.theta,
         seed: opts.seed,
     };
     let service = Service::start(service_config).expect("valid service config");
@@ -247,10 +224,7 @@ fn main() {
             .field_u64("clients", opts.clients as u64)
             .field_u64("requests", report.requests)
             .field_f64("req_per_sec", report.req_per_sec)
-            .field_f64(
-                "req_per_sec_pre_pr",
-                pre_pr_rps.unwrap_or(report.req_per_sec),
-            )
+            .field_f64("req_per_sec_pre_pr", baseline.pre_pr(report.req_per_sec))
             .field_u64("p50_read_ns", lat.quantile(0.50))
             .field_u64("p99_read_ns", lat.quantile(0.99))
             .field_u64("p999_read_ns", lat.quantile(0.999))
@@ -310,25 +284,7 @@ fn main() {
         std::process::exit(1);
     }
     if flag("--check-baseline") {
-        if let Some(text) = baseline.as_deref() {
-            warn_baseline_rev(text, "BENCH_svc.json baseline");
-        }
-        if let Some(base) = baseline_rps {
-            let floor = base * 0.8;
-            if report.req_per_sec < floor {
-                eprintln!(
-                    "FAIL: {:.0} req/sec is a >20% regression from the committed \
-                     baseline {base:.0} (floor {floor:.0})",
-                    report.req_per_sec
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "baseline gate: {:.0} req/sec vs committed {base:.0} ({:+.1}%) — ok",
-                report.req_per_sec,
-                (report.req_per_sec / base - 1.0) * 100.0
-            );
-        }
+        baseline.check(report.req_per_sec, "req/sec");
         // The scrub floor contract: even under this demand load the
         // achieved re-scrub interval p99 must stay within the deadline —
         // this is the figure the BER math stands on.

@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-use sudoku_bench::{flag, git_rev, header, json_f64_field, warn_baseline_rev};
+use sudoku_bench::{arg, flag, git_rev, header, Baseline};
 use sudoku_codes::LineData;
 use sudoku_core::{Scheme, SudokuConfig};
 use sudoku_fault::StuckBitMap;
@@ -69,42 +69,31 @@ struct Opts {
 
 impl Opts {
     fn parse() -> Opts {
-        let argv: Vec<String> = std::env::args().collect();
-        let get = |flag: &str| -> Option<&str> {
-            argv.iter()
-                .position(|a| a == flag)
-                .and_then(|i| argv.get(i + 1))
-                .map(String::as_str)
-        };
-        let u =
-            |flag: &str, default: u64| get(flag).and_then(|v| v.parse().ok()).unwrap_or(default);
-        let f =
-            |flag: &str, default: f64| get(flag).and_then(|v| v.parse().ok()).unwrap_or(default);
         let addr = |flag: &str| -> Option<SocketAddr> {
-            get(flag).map(|v| {
+            arg::<String>(flag).map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("bad socket address {v:?} for {flag}"))
             })
         };
-        let clients = u("--clients", 2) as usize;
+        let clients = arg("--clients").unwrap_or(2);
         Opts {
-            shards: u("--shards", 4) as usize,
+            shards: arg("--shards").unwrap_or(4),
             clients,
-            requests: u("--requests", 100_000),
-            rate: u("--rate", 0),
-            lines: u("--lines", 1 << 14),
-            ber: f("--ber", 0.0),
-            theta: f("--theta", 0.8),
-            write_frac: f("--write-frac", 0.3),
-            window: u("--window", 512) as usize,
-            handlers: u("--handlers", 2) as usize,
-            queue: u("--queue", 64) as usize,
-            seed: u("--seed", 42),
+            requests: arg("--requests").unwrap_or(100_000),
+            rate: arg("--rate").unwrap_or(0),
+            lines: arg("--lines").unwrap_or(1 << 14),
+            ber: arg("--ber").unwrap_or(0.0),
+            theta: arg("--theta").unwrap_or(0.8),
+            write_frac: arg("--write-frac").unwrap_or(0.3),
+            window: arg("--window").unwrap_or(512),
+            handlers: arg("--handlers").unwrap_or(2),
+            queue: arg("--queue").unwrap_or(64),
+            seed: arg("--seed").unwrap_or(42),
             serve: addr("--serve"),
-            serve_secs: u("--serve-secs", 600),
+            serve_secs: arg("--serve-secs").unwrap_or(600),
             connect: addr("--connect"),
-            client_offset: u("--client-offset", 0),
-            clients_total: u("--clients-total", clients as u64),
+            client_offset: arg("--client-offset").unwrap_or(0),
+            clients_total: arg("--clients-total").unwrap_or(clients as u64),
         }
     }
 
@@ -348,19 +337,7 @@ fn main() {
     }
 
     // Read the committed baseline up front: `--json` overwrites the file.
-    let baseline = std::fs::read_to_string("BENCH_net.json").ok();
-    let baseline_rps = baseline
-        .as_deref()
-        .and_then(|t| json_f64_field(t, "req_per_sec"));
-    let pre_pr_rps = baseline
-        .as_deref()
-        .and_then(|t| json_f64_field(t, "req_per_sec_pre_pr"))
-        .or(baseline_rps);
-    if flag("--check-baseline") && baseline_rps.is_none() {
-        eprintln!(
-            "warning: --check-baseline set but BENCH_net.json has no req_per_sec; gate skipped"
-        );
-    }
+    let baseline = Baseline::read("BENCH_net.json", "req_per_sec");
 
     // In-process mode starts its own server on an ephemeral loopback port;
     // `--connect` drives an external one.
@@ -451,7 +428,7 @@ fn main() {
             .field_u64("window", opts.window as u64)
             .field_u64("requests", completed)
             .field_f64("req_per_sec", req_per_sec)
-            .field_f64("req_per_sec_pre_pr", pre_pr_rps.unwrap_or(req_per_sec))
+            .field_f64("req_per_sec_pre_pr", baseline.pre_pr(req_per_sec))
             .field_u64("p50_ns", lat.quantile(0.50))
             .field_u64("p99_ns", lat.quantile(0.99))
             .field_u64("p999_ns", lat.quantile(0.999))
@@ -479,23 +456,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if flag("--check-baseline") {
-        if let Some(text) = baseline.as_deref() {
-            warn_baseline_rev(text, "BENCH_net.json baseline");
-        }
-        if let Some(base) = baseline_rps {
-            let floor = base * 0.8;
-            if req_per_sec < floor {
-                eprintln!(
-                    "FAIL: {req_per_sec:.0} req/sec is a >20% regression from the committed \
-                     baseline {base:.0} (floor {floor:.0})"
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "baseline gate: {req_per_sec:.0} req/sec vs committed {base:.0} ({:+.1}%) — ok",
-                (req_per_sec / base - 1.0) * 100.0
-            );
-        }
-    }
+    baseline.check(req_per_sec, "req/sec");
 }

@@ -22,7 +22,7 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use sudoku_bench::{flag, git_rev, header, json_f64_field, Args};
+use sudoku_bench::{flag, git_rev, header, Args, Baseline};
 use sudoku_codes::{CrcEngine, LineData, CRC31};
 use sudoku_core::Scheme;
 use sudoku_reliability::montecarlo::{
@@ -54,10 +54,8 @@ fn measure_ns_per_crc() -> f64 {
 fn main() {
     let args = Args::parse(64, 0);
     header("Campaign throughput (paper-default config)");
-    let baseline = flag("--check-baseline")
-        .then(|| std::fs::read_to_string("BENCH_kernels.json").ok())
-        .flatten()
-        .and_then(|text| json_f64_field(&text, "trials_per_sec"));
+    // Read the committed baseline up front: `--json` overwrites the file.
+    let baseline = Baseline::read("BENCH_kernels.json", "trials_per_sec");
 
     let cfg = McConfig::paper_default(Scheme::Z, args.trials, args.seed);
     let (summary, report) = run_interval_campaign_timed(&cfg);
@@ -107,22 +105,5 @@ fn main() {
         println!("wrote BENCH_kernels.json");
     }
 
-    if flag("--check-baseline") {
-        match baseline {
-            Some(base) => {
-                let ratio = report.trials_per_sec / base;
-                println!(
-                    "baseline check: {:.2} vs committed {:.2} trials/sec ({:+.1}%)",
-                    report.trials_per_sec,
-                    base,
-                    (ratio - 1.0) * 100.0
-                );
-                if ratio < 0.8 {
-                    eprintln!("FAIL: throughput regressed more than 20% vs baseline");
-                    std::process::exit(1);
-                }
-            }
-            None => println!("baseline check: no committed BENCH_kernels.json, skipping"),
-        }
-    }
+    baseline.check(report.trials_per_sec, "trials/sec");
 }

@@ -1,6 +1,6 @@
-//! Load generation against a running [`Service`]: replay of `sim::trace`
-//! workload mixes or a zipfian stream at a target request rate, with a
-//! golden-copy oracle for silent-data-corruption detection.
+//! Load generation against a running [`Service`]: a zipfian stream at a
+//! target request rate, with a golden-copy oracle for
+//! silent-data-corruption detection.
 //!
 //! Each load worker owns a disjoint slice of the line address space
 //! (lines `≡ worker (mod workers)`), so its private golden map is
@@ -16,21 +16,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use sudoku_codes::LineData;
-use sudoku_sim::{CoreSpec, TraceGen, ZipfGen};
-
-/// How a load worker picks line addresses.
-#[derive(Clone, Copy, Debug)]
-pub enum AddrMode {
-    /// Replay a `sim::trace` synthetic workload shape (APKI, write
-    /// fraction, footprint, hot set), folded onto the worker's slice.
-    Workload(CoreSpec),
-    /// Zipf(θ)-distributed ranks over the worker's slice; writes drawn
-    /// i.i.d. with the configured write fraction.
-    Zipf {
-        /// Skew parameter (0 = uniform; ≈1 = classic Zipf).
-        theta: f64,
-    },
-}
+use sudoku_sim::ZipfGen;
 
 /// Load-generator configuration.
 #[derive(Clone, Copy, Debug)]
@@ -42,10 +28,11 @@ pub struct LoadgenConfig {
     /// Target total request rate in req/s (0 = unpaced, go as fast as
     /// backpressure allows).
     pub target_rps: u64,
-    /// Write fraction for [`AddrMode::Zipf`] (workload mode brings its own).
+    /// Fraction of requests that are writes, drawn i.i.d.
     pub write_frac: f64,
-    /// Address generation mode.
-    pub mode: AddrMode,
+    /// Zipf skew of the line ranks over each worker's slice (0 = uniform;
+    /// ≈1 = classic Zipf).
+    pub theta: f64,
     /// Seed for the per-worker generators.
     pub seed: u64,
 }
@@ -58,7 +45,7 @@ impl LoadgenConfig {
             requests_per_worker,
             target_rps: 0,
             write_frac: 0.3,
-            mode: AddrMode::Zipf { theta: 0.8 },
+            theta: 0.8,
             seed,
         }
     }
@@ -182,14 +169,7 @@ fn load_worker(
     };
     let mut golden: HashMap<u64, LineData> = HashMap::new();
     let mut rng = StdRng::seed_from_u64(config.seed ^ worker.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut zipf = match config.mode {
-        AddrMode::Zipf { theta } => Some(ZipfGen::new(span, theta, config.seed ^ (worker << 17))),
-        AddrMode::Workload(_) => None,
-    };
-    let mut trace = match config.mode {
-        AddrMode::Workload(spec) => Some(TraceGen::new(spec, worker as u32, config.seed)),
-        AddrMode::Zipf { .. } => None,
-    };
+    let mut zipf = ZipfGen::new(span, config.theta, config.seed ^ (worker << 17));
     // Pacing: each of W workers issues at rps/W, i.e. one request every
     // W/rps seconds.
     let pace = (config.target_rps > 0)
@@ -205,16 +185,8 @@ fn load_worker(
         }
         // The worker's slice is lines ≡ worker (mod workers): disjoint
         // between workers, interleaved across shards.
-        let (rank, is_write) = match (&mut zipf, &mut trace) {
-            (Some(z), _) => (z.next_rank(), rng.gen_bool(config.write_frac)),
-            (_, Some(t)) => {
-                let access = t.next_access();
-                (access.line_addr % span, access.is_write)
-            }
-            _ => unreachable!("one generator is always configured"),
-        };
-        let line = rank * workers + worker;
-        if is_write {
+        let line = zipf.next_rank() * workers + worker;
+        if rng.gen_bool(config.write_frac) {
             let mut data = LineData::zero();
             data.set_bit((line as usize).wrapping_mul(31) % 512, true);
             data.set_bit((i as usize).wrapping_mul(7) % 512, true);
@@ -276,23 +248,16 @@ mod tests {
     }
 
     #[test]
-    fn paced_workload_mode_roughly_honors_rate() {
+    fn paced_zipf_load_roughly_honors_rate() {
         let mut svc_config = ServiceConfig::small(512, 2, 0.0, 8);
         svc_config.scrub_every = None;
         let service = Service::start(svc_config).unwrap();
-        let spec = CoreSpec {
-            apki: 20.0,
-            write_frac: 0.4,
-            footprint_lines: 128,
-            hot_lines: 32,
-            hot_frac: 0.7,
-        };
         let config = LoadgenConfig {
             workers: 2,
             requests_per_worker: 100,
             target_rps: 4000,
-            write_frac: 0.0,
-            mode: AddrMode::Workload(spec),
+            write_frac: 0.4,
+            theta: 0.8,
             seed: 8,
         };
         let report = run(service, &config);
